@@ -1,18 +1,21 @@
 // Load generator and correctness checker for uots_server.
 //
 //   $ ./uots_client --port=7670 --connections=8 --requests=2000
-//   $ ./uots_client --port=7670 --rate=500 --duration-s=10   # open loop
 //   $ ./uots_client --port=7670 --verify                     # bit-for-bit
+//   $ ./uots_client --port=7670 --trip --verify              # trip queries
 //
-// Closed loop: each connection keeps exactly one request outstanding;
-// throughput is supply-limited, latency excludes queueing at the client.
-// Open loop: requests are launched on a fixed schedule regardless of
-// completions (the honest way to measure a saturated server — latency then
-// includes the time requests spend waiting for a connection slot).
+// The load run is a closed loop: each connection keeps exactly one request
+// outstanding, so throughput is supply-limited and latency excludes
+// queueing at the client. (perfbench/ holds the open-loop load generator:
+// pipelined connections, answers matched by id, latency timed from each
+// request's due time.)
 //
 // --verify replays the workload through the server AND through the
 // in-process engine and requires identical trajectory ids and score bits —
 // the wire protocol's round-trip double encoding makes this exact.
+//
+// Retrieval and trip queries (--trip) share every code path here; the
+// request kind (server/request_kind.h) supplies what differs.
 //
 // Results print as a table and land in BENCH_server.json.
 
@@ -25,9 +28,10 @@
 #include <cstdlib>
 #include <cstring>
 #include <memory>
-#include <mutex>
+#include <optional>
 #include <string>
 #include <thread>
+#include <type_traits>
 #include <vector>
 
 #include "common/datasets.h"
@@ -36,6 +40,7 @@
 #include "core/workload.h"
 #include "server/client.h"
 #include "server/http.h"
+#include "server/request_kind.h"
 #include "storage/resolver.h"
 #include "text/zipf.h"
 #include "traj/generator.h"
@@ -56,8 +61,6 @@ struct Flags {
   int trajectories = 0;
   int connections = 8;
   int requests = 2000;       // closed-loop total
-  double rate = 0.0;         // open-loop qps; 0 = closed loop
-  double duration_s = 10.0;  // open-loop run length
   int num_queries = 64;      // distinct workload queries to cycle through
   int locations = 5;
   int keywords = 5;
@@ -213,9 +216,62 @@ bool ParseHostPort(const std::string& s, std::string* host, uint16_t* port) {
   return true;
 }
 
+template <class Kind>
+constexpr bool kIsTrip = std::is_same_v<Kind, uots::TripKind>;
+
+/// The wire request for one workload query (retrieval names its engine).
+uots::QueryRequest MakeRequest(const uots::UotsQuery& q,
+                               uots::AlgorithmKind kind) {
+  uots::QueryRequest req;
+  req.query = q;
+  req.algorithm = kind;
+  req.has_algorithm = true;
+  return req;
+}
+uots::TripRequest MakeRequest(const uots::TripQuery& q, uots::AlgorithmKind) {
+  uots::TripRequest req;
+  req.query = q;
+  return req;
+}
+
+/// The deterministic workload of `Kind` over `db` — the same queries the
+/// server's dataset answers, needed for --verify and realistic for load.
+template <class Kind>
+uots::Result<std::vector<typename Kind::Query>> MakeQueries(
+    const Flags& flags, const uots::TrajectoryDatabase& db) {
+  if constexpr (kIsTrip<Kind>) {
+    uots::TripWorkloadOptions topts;
+    topts.num_queries = flags.num_queries;
+    topts.num_locations = flags.locations;
+    topts.num_keywords = flags.keywords;
+    topts.lambda = flags.lambda;
+    topts.k = flags.k;
+    topts.gap_budget_m = flags.trip_gap;
+    topts.seed = flags.seed;
+    return uots::MakeTripWorkload(db, topts);
+  } else {
+    uots::WorkloadOptions wopts;
+    wopts.num_queries = flags.num_queries;
+    wopts.num_locations = flags.locations;
+    wopts.num_keywords = flags.keywords;
+    wopts.lambda = flags.lambda;
+    wopts.k = flags.k;
+    wopts.seed = flags.seed;
+    return uots::MakeWorkload(db, wopts);
+  }
+}
+
+/// Three passes per query: cache-default (miss or hit), cache-default
+/// again (a hit if the server caches), and cache-bypass (always computed).
+/// Every pass must match the in-process reference (RunQuery, or a cold
+/// TripPlanner for trips) bit for bit — this is the "caching changes no
+/// output bit" check, exercised over the real wire. Equality is exact:
+/// every score bit and, for trips, every segment's provenance.
+template <class Kind>
 int RunVerify(const Flags& flags, const uots::TrajectoryDatabase& db,
-              const std::vector<uots::UotsQuery>& queries,
+              const std::vector<typename Kind::Query>& queries,
               uots::AlgorithmKind kind) {
+  const char* noun = kIsTrip<Kind> ? "trip" : "query";
   uots::BlockingClient client;
   uots::Status st =
       client.Connect(flags.host, static_cast<uint16_t>(flags.port));
@@ -225,130 +281,61 @@ int RunVerify(const Flags& flags, const uots::TrajectoryDatabase& db,
   }
   uots::QueryOptions local_opts;
   local_opts.algorithm = kind;
-  int mismatches = 0;
-  int64_t hits_observed = 0;
-  // Three passes per query: cache-default (miss or hit), cache-default
-  // again (a hit if the server caches), and cache-bypass (always computed).
-  // Every pass must match the in-process engine bit for bit — this is the
-  // "caching changes no output bit" check, exercised over the real wire.
-  static constexpr const char* kPassName[] = {"default", "default-again",
-                                              "bypass"};
-  for (size_t i = 0; i < queries.size(); ++i) {
-    auto local = uots::RunQuery(db, queries[i], local_opts);
-    if (!local.ok()) {
-      std::fprintf(stderr, "query %zu: local: %s\n", i,
-                   local.status().ToString().c_str());
-      return 1;
-    }
-    for (int pass = 0; pass < 3; ++pass) {
-      uots::QueryRequest req;
-      req.id = static_cast<int64_t>(i) * 4 + pass;
-      req.query = queries[i];
-      req.algorithm = kind;
-      req.has_algorithm = true;
-      req.cache = pass == 2 ? uots::CacheMode::kBypass
-                            : uots::CacheMode::kDefault;
-      auto remote = client.Call(req);
-      if (!remote.ok()) {
-        std::fprintf(stderr, "query %zu (%s): transport: %s\n", i,
-                     kPassName[pass], remote.status().ToString().c_str());
-        return 1;
-      }
-      if (!remote->ok()) {
-        std::fprintf(stderr, "query %zu (%s): server: %s (%s)\n", i,
-                     kPassName[pass], ToString(remote->status),
-                     remote->error.c_str());
-        return 1;
-      }
-      if (remote->cached) ++hits_observed;
-      bool same = remote->results.size() == local->items.size();
-      for (size_t j = 0; same && j < local->items.size(); ++j) {
-        const auto& a = remote->results[j];
-        const auto& b = local->items[j];
-        same = a.id == b.id && a.score == b.score &&
-               a.spatial_sim == b.spatial_sim &&
-               a.textual_sim == b.textual_sim;
-      }
-      if (!same) {
-        ++mismatches;
-        std::fprintf(stderr, "query %zu (%s): MISMATCH (%zu vs %zu results)\n",
-                     i, kPassName[pass], remote->results.size(),
-                     local->items.size());
-      }
-    }
-  }
-  if (mismatches == 0) {
-    std::printf(
-        "verify: %zu/%zu queries bit-for-bit identical across "
-        "default/repeat/bypass (%" PRId64 " cache hits observed)\n",
-        queries.size(), queries.size(), hits_observed);
-    return 0;
-  }
-  std::printf("verify: %d mismatches over %zu queries\n", mismatches,
-              queries.size());
-  return 1;
-}
-
-/// Trip-mode verify: the same three-pass cache drill as RunVerify, but the
-/// reference is a cold in-process TripPlanner over the locally built
-/// database. AssembledTrip::operator== compares every score bit and every
-/// segment's provenance, so "identical" here is exact, not approximate.
-int RunTripVerify(const Flags& flags, const uots::TrajectoryDatabase& db,
-                  const std::vector<uots::TripQuery>& queries) {
-  uots::BlockingClient client;
-  uots::Status st =
-      client.Connect(flags.host, static_cast<uint16_t>(flags.port));
-  if (!st.ok()) {
-    std::fprintf(stderr, "connect: %s\n", st.ToString().c_str());
-    return 1;
-  }
-  uots::TripPlanner planner(db);
+  std::optional<uots::TripPlanner> planner;
+  if constexpr (kIsTrip<Kind>) planner.emplace(db);
   int mismatches = 0;
   int64_t hits_observed = 0;
   static constexpr const char* kPassName[] = {"default", "default-again",
                                               "bypass"};
   for (size_t i = 0; i < queries.size(); ++i) {
-    auto local = planner.Plan(queries[i]);
+    auto local = [&] {
+      if constexpr (kIsTrip<Kind>) {
+        return planner->Plan(queries[i]);
+      } else {
+        return uots::RunQuery(db, queries[i], local_opts);
+      }
+    }();
     if (!local.ok()) {
-      std::fprintf(stderr, "trip %zu: local: %s\n", i,
+      std::fprintf(stderr, "%s %zu: local: %s\n", noun, i,
                    local.status().ToString().c_str());
       return 1;
     }
+    const auto& want = (*local).*Kind::kAnswerList;
     for (int pass = 0; pass < 3; ++pass) {
-      uots::TripRequest req;
+      auto req = MakeRequest(queries[i], kind);
       req.id = static_cast<int64_t>(i) * 4 + pass;
-      req.query = queries[i];
       req.cache = pass == 2 ? uots::CacheMode::kBypass
                             : uots::CacheMode::kDefault;
       auto remote = client.Call(req);
       if (!remote.ok()) {
-        std::fprintf(stderr, "trip %zu (%s): transport: %s\n", i,
+        std::fprintf(stderr, "%s %zu (%s): transport: %s\n", noun, i,
                      kPassName[pass], remote.status().ToString().c_str());
         return 1;
       }
       if (!remote->ok()) {
-        std::fprintf(stderr, "trip %zu (%s): server: %s (%s)\n", i,
+        std::fprintf(stderr, "%s %zu (%s): server: %s (%s)\n", noun, i,
                      kPassName[pass], ToString(remote->status),
                      remote->error.c_str());
         return 1;
       }
       if (remote->cached) ++hits_observed;
-      if (remote->trips != local->trips) {
+      const auto& got = (*remote).*Kind::kResponseList;
+      if (got != want) {
         ++mismatches;
-        std::fprintf(stderr, "trip %zu (%s): MISMATCH (%zu vs %zu trips)\n",
-                     i, kPassName[pass], remote->trips.size(),
-                     local->trips.size());
+        std::fprintf(stderr, "%s %zu (%s): MISMATCH (%zu vs %zu answers)\n",
+                     noun, i, kPassName[pass], got.size(), want.size());
       }
     }
   }
+  const char* label = kIsTrip<Kind> ? "trip verify" : "verify";
   if (mismatches == 0) {
     std::printf(
-        "trip verify: %zu/%zu queries bit-for-bit identical across "
+        "%s: %zu/%zu queries bit-for-bit identical across "
         "default/repeat/bypass (%" PRId64 " cache hits observed)\n",
-        queries.size(), queries.size(), hits_observed);
+        label, queries.size(), queries.size(), hits_observed);
     return 0;
   }
-  std::printf("trip verify: %d mismatches over %zu queries\n", mismatches,
+  std::printf("%s: %d mismatches over %zu queries\n", label, mismatches,
               queries.size());
   return 1;
 }
@@ -359,7 +346,7 @@ int RunTripVerify(const Flags& flags, const uots::TrajectoryDatabase& db,
 /// base + ingested trips — the server's merged base+delta view must be
 /// indistinguishable, bit for bit, from an index built from scratch.
 int RunIngest(const Flags& flags, const uots::TrajectoryDatabase& db,
-              const uots::WorkloadOptions& wopts, uots::AlgorithmKind kind) {
+              uots::AlgorithmKind kind) {
   // Fresh trips: same generator the datasets use, but a displaced seed so
   // no trip collides with the base set (the server dedups by content), and
   // terms drawn from the server's own vocabulary so ingest validation
@@ -457,13 +444,220 @@ int RunIngest(const Flags& flags, const uots::TrajectoryDatabase& db,
 
   // The workload is regenerated over the merged database so queries can
   // (and do) surface ingested trips in their top-k.
-  auto queries_r = uots::MakeWorkload(ref, wopts);
+  auto queries_r = MakeQueries<uots::RetrievalKind>(flags, ref);
   if (!queries_r.ok()) {
     std::fprintf(stderr, "ingest: workload: %s\n",
                  queries_r.status().ToString().c_str());
     return 1;
   }
-  return RunVerify(flags, ref, *queries_r, kind);
+  return RunVerify<uots::RetrievalKind>(flags, ref, *queries_r, kind);
+}
+
+/// Closed-loop load run of `Kind` over `queries`: per-connection threads,
+/// a latency/outcome table, the JSON report and the optional admin scrape.
+template <class Kind>
+int RunLoad(const Flags& flags, const std::vector<typename Kind::Query>& queries,
+            uots::AlgorithmKind kind, uots::CacheMode cache_mode) {
+  std::string admin_host;
+  uint16_t admin_port = 0;
+  AdminScrape scrape_before;
+  const bool scrape = !flags.scrape_admin.empty();
+  if (scrape) {
+    if (!ParseHostPort(flags.scrape_admin, &admin_host, &admin_port)) {
+      std::fprintf(stderr, "--scrape-admin wants HOST:PORT, got %s\n",
+                   flags.scrape_admin.c_str());
+      return 2;
+    }
+    if (!ScrapeAdmin(admin_host, admin_port, &scrape_before)) return 1;
+  }
+
+  const int nconn = std::max(1, flags.connections);
+  std::vector<WorkerStats> stats(static_cast<size_t>(nconn));
+  std::vector<std::thread> threads;
+  std::atomic<int64_t> next_request{0};
+
+  const auto t0 = std::chrono::steady_clock::now();
+  for (int t = 0; t < nconn; ++t) {
+    threads.emplace_back([&, t] {
+      WorkerStats& my = stats[static_cast<size_t>(t)];
+      uots::BlockingClient client;
+      uots::Status st =
+          client.Connect(flags.host, static_cast<uint16_t>(flags.port));
+      if (!st.ok()) {
+        std::fprintf(stderr, "conn %d: %s\n", t, st.ToString().c_str());
+        ++my.transport_errors;
+        return;
+      }
+      // Skewed query selection: per-thread sampler + RNG (seeded per
+      // thread) so threads don't serialize on a shared generator.
+      std::unique_ptr<uots::ZipfSampler> zipf_sampler;
+      if (flags.zipf > 0.0) {
+        zipf_sampler =
+            std::make_unique<uots::ZipfSampler>(queries.size(), flags.zipf);
+      }
+      uots::Rng rng(flags.seed + static_cast<uint64_t>(t) * 0x9e3779b9ULL);
+      for (;;) {
+        const int64_t n = next_request.fetch_add(1);
+        if (n >= flags.requests) break;
+        const auto start = std::chrono::steady_clock::now();
+        const size_t qi = zipf_sampler != nullptr
+                              ? zipf_sampler->Sample(rng)
+                              : static_cast<size_t>(n) % queries.size();
+        auto req = MakeRequest(queries[qi], kind);
+        req.id = n;
+        req.deadline_ms = flags.deadline_ms;
+        req.cache = cache_mode;
+        auto resp = client.Call(req);
+        const auto done = std::chrono::steady_clock::now();
+        if (!resp.ok()) {
+          ++my.transport_errors;
+          break;
+        }
+        my.Count(resp->status, resp->cached,
+                 std::chrono::duration_cast<std::chrono::nanoseconds>(
+                     done - start)
+                     .count());
+      }
+    });
+  }
+  for (auto& th : threads) th.join();
+  const double wall_s =
+      std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
+          .count();
+
+  WorkerStats total;
+  for (const auto& s : stats) total.Merge(s);
+  const int64_t completed = total.ok + total.overloaded +
+                            total.deadline_exceeded + total.other_errors;
+  const double qps = wall_s > 0 ? static_cast<double>(completed) / wall_s : 0;
+
+  const double hit_rate =
+      total.ok > 0 ? static_cast<double>(total.cache_hits) / total.ok : 0.0;
+  std::printf(
+      "connections=%d wall=%.2fs zipf=%.2f cache=%s\n"
+      "completed=%" PRId64 " (%.1f qps)  ok=%" PRId64 " overloaded=%" PRId64
+      " deadline=%" PRId64 " errors=%" PRId64 " transport=%" PRId64 "\n"
+      "latency: %s\n",
+      nconn, wall_s, flags.zipf,
+      flags.cache.c_str(), completed, qps, total.ok, total.overloaded,
+      total.deadline_exceeded, total.other_errors, total.transport_errors,
+      total.latency.ToString().c_str());
+  std::printf("cache: hits=%" PRId64 "/%" PRId64 " (%.1f%%)  hit p50=%.3f ms"
+              "  miss p50=%.3f ms\n",
+              total.cache_hits, total.ok, 100.0 * hit_rate,
+              total.hit_latency.PercentileMs(50),
+              total.miss_latency.PercentileMs(50));
+
+  uots::bench::JsonReport report(flags.trip ? "trip_load" : "server_load");
+  auto& row = report.AddRow();
+  row.Set("city", flags.city)
+      .Set("algorithm", flags.trip ? std::string("TRIP") : flags.algorithm)
+      .Set("connections", static_cast<int64_t>(nconn))
+      .Set("wall_seconds", wall_s)
+      .Set("completed", completed)
+      .Set("qps", qps)
+      .Set("ok", total.ok)
+      .Set("overloaded", total.overloaded)
+      .Set("deadline_exceeded", total.deadline_exceeded)
+      .Set("errors", total.other_errors)
+      .Set("transport_errors", total.transport_errors)
+      .Set("mean_ms", total.latency.MeanNs() / 1e6)
+      .Set("p50_ms", total.latency.PercentileMs(50))
+      .Set("p95_ms", total.latency.PercentileMs(95))
+      .Set("p99_ms", total.latency.PercentileMs(99))
+      .Set("max_ms", static_cast<double>(total.latency.max_ns()) / 1e6)
+      .Set("zipf", flags.zipf)
+      .Set("cache_mode", flags.cache)
+      .Set("cache_hits", total.cache_hits)
+      .Set("hit_rate", hit_rate)
+      .Set("hit_p50_ms", total.hit_latency.PercentileMs(50))
+      .Set("hit_p99_ms", total.hit_latency.PercentileMs(99))
+      .Set("miss_p50_ms", total.miss_latency.PercentileMs(50))
+      .Set("miss_p99_ms", total.miss_latency.PercentileMs(99));
+
+  if (scrape) {
+    AdminScrape after;
+    if (!ScrapeAdmin(admin_host, admin_port, &after)) return 1;
+    const double d_requests = after.requests - scrape_before.requests;
+    const double d_ok = after.responses_ok - scrape_before.responses_ok;
+    const double d_hits = after.cache_hits - scrape_before.cache_hits;
+    const double server_hit_rate = d_ok > 0 ? d_hits / d_ok : 0.0;
+    // Run-window quantiles from the cumulative-bucket deltas: what the
+    // *server* measured for exactly this run (the lifetime quantile gauges
+    // would mix in whatever ran before us). NaN when the family gained no
+    // samples in the window.
+    const auto window_ms =
+        [&](std::vector<uots::promtext::HistogramBucket> AdminScrape::*family,
+            double q) {
+          return 1e3 * uots::promtext::DeltaQuantileSeconds(
+                           scrape_before.*family, after.*family, q);
+        };
+    const double sp50 = window_ms(&AdminScrape::latency_buckets, 50.0);
+    const double sp95 = window_ms(&AdminScrape::latency_buckets, 95.0);
+    const double sp99 = window_ms(&AdminScrape::latency_buckets, 99.0);
+    std::printf(
+        "server (scraped): requests=%.0f ok=%.0f hit_rate=%.1f%%  "
+        "p50<=%.3f ms p95<=%.3f ms p99<=%.3f ms\n",
+        d_requests, d_ok, 100.0 * server_hit_rate, sp50, sp95, sp99);
+    row.Set("server_requests", d_requests)
+        .Set("server_ok", d_ok)
+        .Set("server_cache_hits", d_hits)
+        .Set("server_hit_rate", server_hit_rate)
+        .Set("server_p50_ms", sp50)
+        .Set("server_p95_ms", sp95)
+        .Set("server_p99_ms", sp99);
+    if (flags.trip) {
+      // The trip.* histogram family, folded in like server.*: run-window
+      // planner wall time plus its harvest/assemble phase split.
+      const double d_trips = after.trip_requests - scrape_before.trip_requests;
+      const double tp50 = window_ms(&AdminScrape::trip_plan_buckets, 50.0);
+      const double tp95 = window_ms(&AdminScrape::trip_plan_buckets, 95.0);
+      const double tp99 = window_ms(&AdminScrape::trip_plan_buckets, 99.0);
+      const double th95 = window_ms(&AdminScrape::trip_harvest_buckets, 95.0);
+      const double ta95 = window_ms(&AdminScrape::trip_assemble_buckets, 95.0);
+      // An all-hits window computes no plans, so every trip.* window
+      // quantile is NaN (null in the JSON report) — say so instead of
+      // printing nan.
+      if (std::isnan(tp50)) {
+        std::printf(
+            "server (trip.*): requests=%.0f (all served from cache; no "
+            "planner samples in window)\n",
+            d_trips);
+      } else {
+        std::printf(
+            "server (trip.*): requests=%.0f plan p50<=%.3f ms p95<=%.3f ms "
+            "p99<=%.3f ms  harvest p95<=%.3f ms assemble p95<=%.3f ms\n",
+            d_trips, tp50, tp95, tp99, th95, ta95);
+      }
+      row.Set("server_trip_requests", d_trips)
+          .Set("trip_plan_p50_ms", tp50)
+          .Set("trip_plan_p95_ms", tp95)
+          .Set("trip_plan_p99_ms", tp99)
+          .Set("trip_harvest_p95_ms", th95)
+          .Set("trip_assemble_p95_ms", ta95);
+    }
+  }
+  if (!flags.json_out.empty()) report.WriteFile(flags.json_out);
+
+  if (flags.min_hit_rate >= 0.0 && hit_rate < flags.min_hit_rate) {
+    std::fprintf(stderr, "hit rate %.3f below required %.3f\n", hit_rate,
+                 flags.min_hit_rate);
+    return 1;
+  }
+  return total.transport_errors == 0 ? 0 : 1;
+}
+
+/// Builds the workload of `Kind`, then verifies it or runs the load.
+template <class Kind>
+int Run(const Flags& flags, const uots::TrajectoryDatabase& db,
+        uots::AlgorithmKind kind, uots::CacheMode cache_mode) {
+  auto queries = MakeQueries<Kind>(flags, db);
+  if (!queries.ok()) {
+    std::fprintf(stderr, "workload: %s\n", queries.status().ToString().c_str());
+    return 1;
+  }
+  if (flags.verify) return RunVerify<Kind>(flags, db, *queries, kind);
+  return RunLoad<Kind>(flags, *queries, kind, cache_mode);
 }
 
 }  // namespace
@@ -486,10 +680,6 @@ int main(int argc, char** argv) {
       flags.connections = std::atoi(v.c_str());
     } else if (ParseFlag(argv[i], "--requests", &v)) {
       flags.requests = std::atoi(v.c_str());
-    } else if (ParseFlag(argv[i], "--rate", &v)) {
-      flags.rate = std::atof(v.c_str());
-    } else if (ParseFlag(argv[i], "--duration-s", &v)) {
-      flags.duration_s = std::atof(v.c_str());
     } else if (ParseFlag(argv[i], "--num-queries", &v)) {
       flags.num_queries = std::atoi(v.c_str());
     } else if (ParseFlag(argv[i], "--locations", &v)) {
@@ -579,295 +769,7 @@ int main(int argc, char** argv) {
              ? uots::bench::LoadCity(city, flags.trajectories)
              : uots::bench::LoadCity(city);
   }
-  uots::WorkloadOptions wopts;
-  wopts.num_queries = flags.num_queries;
-  wopts.num_locations = flags.locations;
-  wopts.num_keywords = flags.keywords;
-  wopts.lambda = flags.lambda;
-  wopts.k = flags.k;
-  wopts.seed = flags.seed;
-
-  if (flags.ingest > 0) {
-    return RunIngest(flags, *db, wopts, kind);
-  }
-
-  // Trip mode swaps the workload family; everything downstream (loop
-  // shape, zipf selection, latency accounting) is shared.
-  std::vector<uots::UotsQuery> queries;
-  std::vector<uots::TripQuery> trip_queries;
-  if (flags.trip) {
-    uots::TripWorkloadOptions topts;
-    topts.num_queries = flags.num_queries;
-    topts.num_locations = flags.locations;
-    topts.num_keywords = flags.keywords;
-    topts.lambda = flags.lambda;
-    topts.k = flags.k;
-    topts.gap_budget_m = flags.trip_gap;
-    topts.seed = flags.seed;
-    auto tq = uots::MakeTripWorkload(*db, topts);
-    if (!tq.ok()) {
-      std::fprintf(stderr, "trip workload: %s\n",
-                   tq.status().ToString().c_str());
-      return 1;
-    }
-    trip_queries = std::move(*tq);
-  } else {
-    auto queries_r = uots::MakeWorkload(*db, wopts);
-    if (!queries_r.ok()) {
-      std::fprintf(stderr, "workload: %s\n",
-                   queries_r.status().ToString().c_str());
-      return 1;
-    }
-    queries = std::move(*queries_r);
-  }
-  const size_t workload_size =
-      flags.trip ? trip_queries.size() : queries.size();
-
-  if (flags.verify) {
-    return flags.trip ? RunTripVerify(flags, *db, trip_queries)
-                      : RunVerify(flags, *db, queries, kind);
-  }
-
-  std::string admin_host;
-  uint16_t admin_port = 0;
-  AdminScrape scrape_before;
-  const bool scrape = !flags.scrape_admin.empty();
-  if (scrape) {
-    if (!ParseHostPort(flags.scrape_admin, &admin_host, &admin_port)) {
-      std::fprintf(stderr, "--scrape-admin wants HOST:PORT, got %s\n",
-                   flags.scrape_admin.c_str());
-      return 2;
-    }
-    if (!ScrapeAdmin(admin_host, admin_port, &scrape_before)) return 1;
-  }
-
-  const bool open_loop = flags.rate > 0.0;
-  const int nconn = std::max(1, flags.connections);
-  std::vector<WorkerStats> stats(static_cast<size_t>(nconn));
-  std::vector<std::thread> threads;
-  std::atomic<int64_t> next_request{0};
-  std::atomic<bool> abort_run{false};
-
-  const auto t0 = std::chrono::steady_clock::now();
-  for (int t = 0; t < nconn; ++t) {
-    threads.emplace_back([&, t] {
-      WorkerStats& my = stats[static_cast<size_t>(t)];
-      uots::BlockingClient client;
-      uots::Status st =
-          client.Connect(flags.host, static_cast<uint16_t>(flags.port));
-      if (!st.ok()) {
-        std::fprintf(stderr, "conn %d: %s\n", t, st.ToString().c_str());
-        ++my.transport_errors;
-        abort_run.store(true);
-        return;
-      }
-      // Open loop: this thread owns every rate/nconn-th tick of the global
-      // schedule; a late tick is sent immediately (no coordinated omission
-      // hiding — the latency clock starts at the *scheduled* time).
-      const double per_thread_interval_ns =
-          open_loop ? 1e9 * nconn / flags.rate : 0.0;
-      const auto deadline_end =
-          t0 + std::chrono::duration<double>(flags.duration_s);
-      int64_t tick = 0;
-      // Skewed query selection: per-thread sampler + RNG (seeded per
-      // thread) so threads don't serialize on a shared generator.
-      std::unique_ptr<uots::ZipfSampler> zipf_sampler;
-      if (flags.zipf > 0.0) {
-        zipf_sampler =
-            std::make_unique<uots::ZipfSampler>(workload_size, flags.zipf);
-      }
-      uots::Rng rng(flags.seed + static_cast<uint64_t>(t) * 0x9e3779b9ULL);
-      for (;;) {
-        if (abort_run.load(std::memory_order_relaxed)) break;
-        std::chrono::steady_clock::time_point scheduled;
-        if (open_loop) {
-          scheduled =
-              t0 + std::chrono::nanoseconds(static_cast<int64_t>(
-                       (static_cast<double>(tick) + t / double(nconn)) *
-                       per_thread_interval_ns));
-          if (scheduled >= deadline_end) break;
-          std::this_thread::sleep_until(scheduled);
-          ++tick;
-        } else {
-          const int64_t n = next_request.fetch_add(1);
-          if (n >= flags.requests) break;
-          scheduled = std::chrono::steady_clock::now();
-        }
-        int64_t qi;
-        if (zipf_sampler != nullptr) {
-          qi = static_cast<int64_t>(zipf_sampler->Sample(rng));
-        } else if (open_loop) {
-          qi = (tick + t) % static_cast<int64_t>(workload_size);
-        } else {
-          qi = next_request.load() % static_cast<int64_t>(workload_size);
-        }
-        if (flags.trip) {
-          uots::TripRequest req;
-          req.id = tick + t * 1000000;
-          req.query = trip_queries[static_cast<size_t>(qi)];
-          req.deadline_ms = flags.deadline_ms;
-          req.cache = cache_mode;
-          auto resp = client.Call(req);
-          const auto done = std::chrono::steady_clock::now();
-          if (!resp.ok()) {
-            ++my.transport_errors;
-            break;
-          }
-          my.Count(resp->status, resp->cached,
-                   std::chrono::duration_cast<std::chrono::nanoseconds>(
-                       done - scheduled)
-                       .count());
-          continue;
-        }
-        uots::QueryRequest req;
-        req.id = tick + t * 1000000;
-        req.query = queries[static_cast<size_t>(qi)];
-        req.algorithm = kind;
-        req.has_algorithm = true;
-        req.deadline_ms = flags.deadline_ms;
-        req.cache = cache_mode;
-        auto resp = client.Call(req);
-        const auto done = std::chrono::steady_clock::now();
-        if (!resp.ok()) {
-          ++my.transport_errors;
-          break;
-        }
-        my.Count(resp->status, resp->cached,
-                 std::chrono::duration_cast<std::chrono::nanoseconds>(
-                     done - scheduled)
-                     .count());
-      }
-    });
-  }
-  for (auto& th : threads) th.join();
-  const double wall_s =
-      std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
-          .count();
-
-  WorkerStats total;
-  for (const auto& s : stats) total.Merge(s);
-  const int64_t completed = total.ok + total.overloaded +
-                            total.deadline_exceeded + total.other_errors;
-  const double qps = wall_s > 0 ? static_cast<double>(completed) / wall_s : 0;
-
-  const double hit_rate =
-      total.ok > 0 ? static_cast<double>(total.cache_hits) / total.ok : 0.0;
-  std::printf(
-      "mode=%s connections=%d wall=%.2fs zipf=%.2f cache=%s\n"
-      "completed=%" PRId64 " (%.1f qps)  ok=%" PRId64 " overloaded=%" PRId64
-      " deadline=%" PRId64 " errors=%" PRId64 " transport=%" PRId64 "\n"
-      "latency: %s\n",
-      open_loop ? "open" : "closed", nconn, wall_s, flags.zipf,
-      flags.cache.c_str(), completed, qps, total.ok, total.overloaded,
-      total.deadline_exceeded, total.other_errors, total.transport_errors,
-      total.latency.ToString().c_str());
-  std::printf("cache: hits=%" PRId64 "/%" PRId64 " (%.1f%%)  hit p50=%.3f ms"
-              "  miss p50=%.3f ms\n",
-              total.cache_hits, total.ok, 100.0 * hit_rate,
-              total.hit_latency.PercentileMs(50),
-              total.miss_latency.PercentileMs(50));
-
-  uots::bench::JsonReport report(flags.trip ? "trip_load" : "server_load");
-  auto& row = report.AddRow();
-  row.Set("mode", std::string(open_loop ? "open" : "closed"))
-      .Set("city", flags.city)
-      .Set("algorithm", flags.trip ? std::string("TRIP") : flags.algorithm)
-      .Set("connections", static_cast<int64_t>(nconn))
-      .Set("wall_seconds", wall_s)
-      .Set("completed", completed)
-      .Set("qps", qps)
-      .Set("ok", total.ok)
-      .Set("overloaded", total.overloaded)
-      .Set("deadline_exceeded", total.deadline_exceeded)
-      .Set("errors", total.other_errors)
-      .Set("transport_errors", total.transport_errors)
-      .Set("mean_ms", total.latency.MeanNs() / 1e6)
-      .Set("p50_ms", total.latency.PercentileMs(50))
-      .Set("p95_ms", total.latency.PercentileMs(95))
-      .Set("p99_ms", total.latency.PercentileMs(99))
-      .Set("max_ms", static_cast<double>(total.latency.max_ns()) / 1e6)
-      .Set("zipf", flags.zipf)
-      .Set("cache_mode", flags.cache)
-      .Set("cache_hits", total.cache_hits)
-      .Set("hit_rate", hit_rate)
-      .Set("hit_p50_ms", total.hit_latency.PercentileMs(50))
-      .Set("hit_p99_ms", total.hit_latency.PercentileMs(99))
-      .Set("miss_p50_ms", total.miss_latency.PercentileMs(50))
-      .Set("miss_p99_ms", total.miss_latency.PercentileMs(99));
-
-  if (scrape) {
-    AdminScrape after;
-    if (!ScrapeAdmin(admin_host, admin_port, &after)) return 1;
-    const double d_requests = after.requests - scrape_before.requests;
-    const double d_ok = after.responses_ok - scrape_before.responses_ok;
-    const double d_hits = after.cache_hits - scrape_before.cache_hits;
-    const double server_hit_rate = d_ok > 0 ? d_hits / d_ok : 0.0;
-    // Run-window quantiles from the cumulative-bucket deltas: what the
-    // *server* measured arrival-to-response for exactly this run (the
-    // lifetime quantile gauges would mix in whatever ran before us).
-    const double sp50 = uots::promtext::DeltaQuantileSeconds(
-        scrape_before.latency_buckets, after.latency_buckets, 50.0);
-    const double sp95 = uots::promtext::DeltaQuantileSeconds(
-        scrape_before.latency_buckets, after.latency_buckets, 95.0);
-    const double sp99 = uots::promtext::DeltaQuantileSeconds(
-        scrape_before.latency_buckets, after.latency_buckets, 99.0);
-    std::printf(
-        "server (scraped): requests=%.0f ok=%.0f hit_rate=%.1f%%  "
-        "p50<=%.3f ms p95<=%.3f ms p99<=%.3f ms\n",
-        d_requests, d_ok, 100.0 * server_hit_rate, sp50 * 1e3, sp95 * 1e3,
-        sp99 * 1e3);
-    row.Set("server_requests", d_requests)
-        .Set("server_ok", d_ok)
-        .Set("server_cache_hits", d_hits)
-        .Set("server_hit_rate", server_hit_rate)
-        .Set("server_p50_ms", sp50 * 1e3)
-        .Set("server_p95_ms", sp95 * 1e3)
-        .Set("server_p99_ms", sp99 * 1e3);
-    if (flags.trip) {
-      // The trip.* histogram family, folded in like server.*: run-window
-      // planner wall time plus its harvest/assemble phase split.
-      const double d_trips = after.trip_requests - scrape_before.trip_requests;
-      const double tp50 = uots::promtext::DeltaQuantileSeconds(
-          scrape_before.trip_plan_buckets, after.trip_plan_buckets, 50.0);
-      const double tp95 = uots::promtext::DeltaQuantileSeconds(
-          scrape_before.trip_plan_buckets, after.trip_plan_buckets, 95.0);
-      const double tp99 = uots::promtext::DeltaQuantileSeconds(
-          scrape_before.trip_plan_buckets, after.trip_plan_buckets, 99.0);
-      const double th95 = uots::promtext::DeltaQuantileSeconds(
-          scrape_before.trip_harvest_buckets, after.trip_harvest_buckets,
-          95.0);
-      const double ta95 = uots::promtext::DeltaQuantileSeconds(
-          scrape_before.trip_assemble_buckets, after.trip_assemble_buckets,
-          95.0);
-      // An all-hits window computes no plans, so the trip.* histograms
-      // gain no samples and every window quantile is NaN (null in the
-      // JSON report) — say so instead of printing nan.
-      if (std::isnan(tp50)) {
-        std::printf(
-            "server (trip.*): requests=%.0f (all served from cache; no "
-            "planner samples in window)\n",
-            d_trips);
-      } else {
-        std::printf(
-            "server (trip.*): requests=%.0f plan p50<=%.3f ms p95<=%.3f ms "
-            "p99<=%.3f ms  harvest p95<=%.3f ms assemble p95<=%.3f ms\n",
-            d_trips, tp50 * 1e3, tp95 * 1e3, tp99 * 1e3, th95 * 1e3,
-            ta95 * 1e3);
-      }
-      row.Set("server_trip_requests", d_trips)
-          .Set("trip_plan_p50_ms", tp50 * 1e3)
-          .Set("trip_plan_p95_ms", tp95 * 1e3)
-          .Set("trip_plan_p99_ms", tp99 * 1e3)
-          .Set("trip_harvest_p95_ms", th95 * 1e3)
-          .Set("trip_assemble_p95_ms", ta95 * 1e3);
-    }
-  }
-  if (!flags.json_out.empty()) report.WriteFile(flags.json_out);
-
-  if (flags.min_hit_rate >= 0.0 && hit_rate < flags.min_hit_rate) {
-    std::fprintf(stderr, "hit rate %.3f below required %.3f\n", hit_rate,
-                 flags.min_hit_rate);
-    return 1;
-  }
-  return total.transport_errors == 0 ? 0 : 1;
+  if (flags.ingest > 0) return RunIngest(flags, *db, kind);
+  return flags.trip ? Run<uots::TripKind>(flags, *db, kind, cache_mode)
+                    : Run<uots::RetrievalKind>(flags, *db, kind, cache_mode);
 }

@@ -14,6 +14,15 @@ jobs=$(nproc 2>/dev/null || echo 2)
 presets=("$@")
 if [[ $# -eq 0 ]]; then presets=(release asan trace-off); fi
 
+# A failing step exits the script (set -e) before its drill's `kill`; take
+# any server still running down with it, or the next run cannot bind.
+trap 'kill $(jobs -p) 2>/dev/null || true' EXIT
+
+# `has PATTERN`: succeeds when stdin has a line matching PATTERN. Reads all
+# of stdin first: `grep -q` exits at its first match, and under pipefail the
+# writer's broken pipe (curl exit 23) then fails the check at random.
+has() { grep -e "$1" > /dev/null; }
+
 declare -A builddir=([release]=build [asan]=build-asan [trace-off]=build-trace-off)
 
 for preset in "${presets[@]}"; do
@@ -21,6 +30,14 @@ for preset in "${presets[@]}"; do
   cmake --preset "${preset}"
   cmake --build --preset "${preset}" -j "${jobs}"
   ctest --preset "${preset}" -j "${jobs}"
+  if [[ "${preset}" == "release" ]]; then
+    # The loopback server suites race real sockets, the worker pool and the
+    # reactor; a flake that depends on completion order or a race fails
+    # here instead of landing one run in N.
+    echo "==> release: loopback server suites, repeated"
+    ctest --preset "${preset}" -R "uots_server_integration_test|uots_trip_server_test" \
+      --repeat until-fail:10 --output-on-failure
+  fi
   if [[ "${preset}" == "asan" ]]; then
     # The loopback server test drives real sockets through the epoll loop,
     # timer heap, and cross-thread completion path; run it again explicitly
@@ -60,7 +77,7 @@ for preset in "${presets[@]}"; do
       --gen-rows=24 --gen-cols=24 --gen-trips=600 --oracle
     "${builddir[${preset}]}/apps/uots_snapshot" verify "${osnap}"
     "${builddir[${preset}]}/apps/uots_snapshot" inspect "${osnap}" \
-      | grep -q "distance oracle"
+      | has "distance oracle"
     rm -f "${osnap}"
     ctest --preset "${preset}" -R uots_oracle_test --output-on-failure
     # Admin-plane drill: serve a generated city with the admin listener on,
@@ -81,14 +98,14 @@ for preset in "${presets[@]}"; do
       --trajectories=1500 --zipf=0.99 --connections=2 --requests=300 \
       --scrape-admin="${aport}"
     admin="http://127.0.0.1:${aport}"
-    curl -fsS "${admin}/healthz" | grep -q "ok"
-    curl -fsS "${admin}/metrics" | grep -q "^uots_server_requests_total 3"
+    curl -fsS "${admin}/healthz" | has "ok"
+    curl -fsS "${admin}/metrics" | has "^uots_server_requests_total 3"
     curl -fsS "${admin}/metrics" \
-      | grep -q "uots_server_request_latency_seconds_bucket"
-    curl -fsS "${admin}/statusz" | grep -q '"fingerprint"'
+      | has "uots_server_request_latency_seconds_bucket"
+    curl -fsS "${admin}/statusz" | has '"fingerprint"'
     curl -fsS -X POST "${admin}/tracing?sample=4" \
-      | grep -q '"sample_every":4'
-    curl -fsS "${admin}/slowqueries" | grep -q '"request_id"'
+      | has '"sample_every":4'
+    curl -fsS "${admin}/slowqueries" | has '"request_id"'
     kill -TERM "${server_pid}"
     wait "${server_pid}"
     # Live-ingest drill: serve with a compaction path, wire-ingest fresh
@@ -111,17 +128,17 @@ for preset in "${presets[@]}"; do
     "${builddir[${preset}]}/apps/uots_client" --port="${iqport}" \
       --trajectories=1500 --ingest=200 --num-queries=16
     iadmin="http://127.0.0.1:${iaport}"
-    curl -fsS "${iadmin}/statusz" | grep -q '"delta_trajectories":200'
-    curl -fsS -X POST "${iadmin}/compact" | grep -q '"compacting":true'
+    curl -fsS "${iadmin}/statusz" | has '"delta_trajectories":200'
+    curl -fsS -X POST "${iadmin}/compact" | has '"compacting":true'
     for _ in $(seq 1 50); do
-      if curl -fsS "${iadmin}/statusz" | grep -q '"compactions":1'; then
+      if curl -fsS "${iadmin}/statusz" | has '"compactions":1'; then
         break
       fi
       sleep 0.2
     done
-    curl -fsS "${iadmin}/statusz" | grep -q '"compactions":1'
+    curl -fsS "${iadmin}/statusz" | has '"compactions":1'
     curl -fsS "${iadmin}/metrics" \
-      | grep -q "^uots_server_ingest_accepted_trips_total 200"
+      | has "^uots_server_ingest_accepted_trips_total 200"
     "${builddir[${preset}]}/apps/uots_snapshot" verify "${isnap}"
     "${builddir[${preset}]}/apps/uots_client" --port="${iqport}" \
       --dataset="${isnap}" --verify --num-queries=16
@@ -150,8 +167,8 @@ for preset in "${presets[@]}"; do
       --requests=200 --scrape-admin="${taport}" \
       --json-out="${builddir[${preset}]}/check-trip.json"
     curl -fsS "http://127.0.0.1:${taport}/metrics" \
-      | grep -q "uots_trip_plan_seconds_bucket"
-    curl -fsS "http://127.0.0.1:${taport}/slowqueries" | grep -q '"segments"'
+      | has "uots_trip_plan_seconds_bucket"
+    curl -fsS "http://127.0.0.1:${taport}/slowqueries" | has '"segments"'
     kill -TERM "${trip_pid}"
     wait "${trip_pid}"
     rm -f "${builddir[${preset}]}/check-trip.json"

@@ -34,6 +34,10 @@ struct ScoredTrajectory {
   double score = 0.0;        ///< SimU = lambda*spatial + (1-lambda)*textual
   double spatial_sim = 0.0;  ///< SimS in [0,1]
   double textual_sim = 0.0;  ///< SimT in [0,1]
+
+  /// Exact equality of every field (scores compare bit for bit).
+  friend bool operator==(const ScoredTrajectory&,
+                         const ScoredTrajectory&) = default;
 };
 
 /// \brief Top-k answer plus instrumentation.

@@ -226,6 +226,34 @@ Status SetNonBlockingFd(int fd) {
   return Status::OK();
 }
 
+/// The reactor counters as exported: /statusz "counters" key and field;
+/// the /metrics family is uots_server_<key> unless `family` overrides the
+/// key part.
+struct CounterExport {
+  const char* key;
+  int64_t ServerCounters::*field;
+  const char* family = nullptr;
+};
+constexpr CounterExport kServerCounters[] = {
+    {"connections_accepted", &ServerCounters::connections_accepted},
+    {"connections_closed", &ServerCounters::connections_closed},
+    {"connections_rejected", &ServerCounters::connections_rejected},
+    {"requests", &ServerCounters::requests},
+    {"trip_requests", &ServerCounters::trip_requests},
+    {"responses_ok", &ServerCounters::responses_ok},
+    {"cache_hits", &ServerCounters::cache_hits, "request_cache_hits"},
+    {"rejected_overloaded", &ServerCounters::rejected_overloaded},
+    {"rejected_shutting_down", &ServerCounters::rejected_shutting_down},
+    {"deadline_exceeded", &ServerCounters::deadline_exceeded},
+    {"parse_errors", &ServerCounters::parse_errors},
+    {"oversized_frames", &ServerCounters::oversized_frames},
+    {"errors_internal", &ServerCounters::errors_internal},
+    {"ingest_requests", &ServerCounters::ingest_requests},
+    {"ingest_accepted_trips", &ServerCounters::ingest_accepted_trips},
+    {"ingest_rejected_batches", &ServerCounters::ingest_rejected_batches},
+    {"compactions", &ServerCounters::compactions},
+};
+
 }  // namespace
 
 // ---------------------------------------------------------------------------
@@ -533,29 +561,11 @@ std::string AdminPlane::RenderMetrics() const {
   }
 
   const ServerCounters& c = server_->counters();
-  AppendCounter(&out, "uots_server_connections_accepted",
-                c.connections_accepted);
-  AppendCounter(&out, "uots_server_connections_closed", c.connections_closed);
-  AppendCounter(&out, "uots_server_connections_rejected",
-                c.connections_rejected);
-  AppendCounter(&out, "uots_server_requests", c.requests);
-  AppendCounter(&out, "uots_server_trip_requests", c.trip_requests);
-  AppendCounter(&out, "uots_server_responses_ok", c.responses_ok);
-  AppendCounter(&out, "uots_server_request_cache_hits", c.cache_hits);
-  AppendCounter(&out, "uots_server_rejected_overloaded",
-                c.rejected_overloaded);
-  AppendCounter(&out, "uots_server_rejected_shutting_down",
-                c.rejected_shutting_down);
-  AppendCounter(&out, "uots_server_deadline_exceeded", c.deadline_exceeded);
-  AppendCounter(&out, "uots_server_parse_errors", c.parse_errors);
-  AppendCounter(&out, "uots_server_oversized_frames", c.oversized_frames);
-  AppendCounter(&out, "uots_server_errors_internal", c.errors_internal);
-  AppendCounter(&out, "uots_server_ingest_requests", c.ingest_requests);
-  AppendCounter(&out, "uots_server_ingest_accepted_trips",
-                c.ingest_accepted_trips);
-  AppendCounter(&out, "uots_server_ingest_rejected_batches",
-                c.ingest_rejected_batches);
-  AppendCounter(&out, "uots_server_compactions", c.compactions);
+  for (const CounterExport& e : kServerCounters) {
+    AppendCounter(&out,
+                  std::string("uots_server_") + (e.family ? e.family : e.key),
+                  c.*e.field);
+  }
   AppendCounter(&out, "uots_server_slowlog_entries", slowlog_.added());
 
   AppendGauge(&out, "uots_server_uptime_seconds",
@@ -664,26 +674,9 @@ std::string AdminPlane::RenderStatusz() const {
 
   const ServerCounters& c = server_->counters();
   JsonValue counters = JsonValue::Object();
-  counters.Set("connections_accepted", JsonValue::Int(c.connections_accepted));
-  counters.Set("connections_closed", JsonValue::Int(c.connections_closed));
-  counters.Set("connections_rejected", JsonValue::Int(c.connections_rejected));
-  counters.Set("requests", JsonValue::Int(c.requests));
-  counters.Set("trip_requests", JsonValue::Int(c.trip_requests));
-  counters.Set("responses_ok", JsonValue::Int(c.responses_ok));
-  counters.Set("cache_hits", JsonValue::Int(c.cache_hits));
-  counters.Set("rejected_overloaded", JsonValue::Int(c.rejected_overloaded));
-  counters.Set("rejected_shutting_down",
-               JsonValue::Int(c.rejected_shutting_down));
-  counters.Set("deadline_exceeded", JsonValue::Int(c.deadline_exceeded));
-  counters.Set("parse_errors", JsonValue::Int(c.parse_errors));
-  counters.Set("oversized_frames", JsonValue::Int(c.oversized_frames));
-  counters.Set("errors_internal", JsonValue::Int(c.errors_internal));
-  counters.Set("ingest_requests", JsonValue::Int(c.ingest_requests));
-  counters.Set("ingest_accepted_trips",
-               JsonValue::Int(c.ingest_accepted_trips));
-  counters.Set("ingest_rejected_batches",
-               JsonValue::Int(c.ingest_rejected_batches));
-  counters.Set("compactions", JsonValue::Int(c.compactions));
+  for (const CounterExport& e : kServerCounters) {
+    counters.Set(e.key, JsonValue::Int(c.*e.field));
+  }
   root.Set("counters", std::move(counters));
 
   JsonValue slow = JsonValue::Object();
@@ -702,21 +695,19 @@ std::string AdminPlane::RenderStatusz() const {
 std::string AdminPlane::RenderSlowQueries() const {
   std::string out = "{\"added\":";
   out += std::to_string(slowlog_.added());
-  out += ",\"slowest\":[";
-  bool first = true;
-  for (const SlowLogEntry& e : slowlog_.slowest()) {
-    if (!first) out.push_back(',');
-    first = false;
-    AppendSlowEntryJson(&out, e);
-  }
-  out += "],\"recent\":[";
-  first = true;
-  for (const SlowLogEntry& e : slowlog_.recent()) {
-    if (!first) out.push_back(',');
-    first = false;
-    AppendSlowEntryJson(&out, e);
-  }
-  out += "]}\n";
+  const auto append_list = [&out](const char* key, const auto& entries) {
+    out += key;
+    bool first = true;
+    for (const SlowLogEntry& e : entries) {
+      if (!first) out.push_back(',');
+      first = false;
+      AppendSlowEntryJson(&out, e);
+    }
+    out += ']';
+  };
+  append_list(",\"slowest\":[", slowlog_.slowest());
+  append_list(",\"recent\":[", slowlog_.recent());
+  out += "}\n";
   return out;
 }
 

@@ -59,112 +59,78 @@ Status BlockingClient::WriteAll(const char* data, size_t n) {
   return Status::OK();
 }
 
-Status BlockingClient::Send(const QueryRequest& req) {
+Status BlockingClient::SendPayload(const std::string& payload) {
   if (fd_ < 0) return Status::InvalidArgument("not connected");
-  const std::string frame = EncodeFrame(EncodeQueryRequest(req));
+  const std::string frame = EncodeFrame(payload);
   return WriteAll(frame.data(), frame.size());
+}
+
+Result<std::string> BlockingClient::ReceivePayload() {
+  if (fd_ < 0) return Status::InvalidArgument("not connected");
+  for (;;) {
+    std::string payload;
+    size_t oversized = 0;
+    const FrameDecoder::Next next = decoder_.Poll(&payload, &oversized);
+    if (next == FrameDecoder::Next::kFrame) return payload;
+    if (next == FrameDecoder::Next::kOversized) {
+      return Status::IOError("server sent an oversized frame (" +
+                             std::to_string(oversized) + " bytes)");
+    }
+    char buf[16384];
+    const ssize_t n = ::recv(fd_, buf, sizeof(buf), 0);
+    if (n > 0) {
+      decoder_.Append(buf, static_cast<size_t>(n));
+      continue;
+    }
+    if (n == 0) return Status::IOError("connection closed by server");
+    if (errno == EINTR) continue;
+    return Status::IOError("recv: " + std::string(std::strerror(errno)));
+  }
+}
+
+template <class Response>
+Result<Response> BlockingClient::ReceiveAs(
+    Result<Response> (*parse)(std::string_view)) {
+  Result<std::string> payload = ReceivePayload();
+  if (!payload.ok()) return payload.status();
+  return parse(*payload);
+}
+
+template <class Request, class Response>
+Result<Response> BlockingClient::RoundTrip(
+    const Request& req, Result<Response> (*parse)(std::string_view)) {
+  UOTS_RETURN_NOT_OK(Send(req));
+  return ReceiveAs(parse);
+}
+
+Status BlockingClient::Send(const QueryRequest& req) {
+  return SendPayload(EncodeQueryRequest(req));
+}
+Status BlockingClient::Send(const IngestRequest& req) {
+  return SendPayload(EncodeIngestRequest(req));
+}
+Status BlockingClient::Send(const TripRequest& req) {
+  return SendPayload(EncodeTripRequest(req));
 }
 
 Result<QueryResponse> BlockingClient::Receive() {
-  if (fd_ < 0) return Status::InvalidArgument("not connected");
-  for (;;) {
-    std::string payload;
-    size_t oversized = 0;
-    const FrameDecoder::Next next = decoder_.Poll(&payload, &oversized);
-    if (next == FrameDecoder::Next::kFrame) {
-      return ParseQueryResponse(payload);
-    }
-    if (next == FrameDecoder::Next::kOversized) {
-      return Status::IOError("server sent an oversized frame (" +
-                             std::to_string(oversized) + " bytes)");
-    }
-    char buf[16384];
-    const ssize_t n = ::recv(fd_, buf, sizeof(buf), 0);
-    if (n > 0) {
-      decoder_.Append(buf, static_cast<size_t>(n));
-      continue;
-    }
-    if (n == 0) return Status::IOError("connection closed by server");
-    if (errno == EINTR) continue;
-    return Status::IOError("recv: " + std::string(std::strerror(errno)));
-  }
+  return ReceiveAs(&ParseQueryResponse);
+}
+Result<IngestResponse> BlockingClient::ReceiveIngest() {
+  return ReceiveAs(&ParseIngestResponse);
+}
+Result<TripResponse> BlockingClient::ReceiveTrip() {
+  return ReceiveAs(&ParseTripResponse);
 }
 
 Result<QueryResponse> BlockingClient::Call(const QueryRequest& req) {
-  UOTS_RETURN_NOT_OK(Send(req));
-  return Receive();
+  return RoundTrip(req, &ParseQueryResponse);
 }
-
-Status BlockingClient::Send(const IngestRequest& req) {
-  if (fd_ < 0) return Status::InvalidArgument("not connected");
-  const std::string frame = EncodeFrame(EncodeIngestRequest(req));
-  return WriteAll(frame.data(), frame.size());
-}
-
-Result<IngestResponse> BlockingClient::ReceiveIngest() {
-  if (fd_ < 0) return Status::InvalidArgument("not connected");
-  for (;;) {
-    std::string payload;
-    size_t oversized = 0;
-    const FrameDecoder::Next next = decoder_.Poll(&payload, &oversized);
-    if (next == FrameDecoder::Next::kFrame) {
-      return ParseIngestResponse(payload);
-    }
-    if (next == FrameDecoder::Next::kOversized) {
-      return Status::IOError("server sent an oversized frame (" +
-                             std::to_string(oversized) + " bytes)");
-    }
-    char buf[16384];
-    const ssize_t n = ::recv(fd_, buf, sizeof(buf), 0);
-    if (n > 0) {
-      decoder_.Append(buf, static_cast<size_t>(n));
-      continue;
-    }
-    if (n == 0) return Status::IOError("connection closed by server");
-    if (errno == EINTR) continue;
-    return Status::IOError("recv: " + std::string(std::strerror(errno)));
-  }
-}
-
 Result<IngestResponse> BlockingClient::Call(const IngestRequest& req) {
-  UOTS_RETURN_NOT_OK(Send(req));
-  return ReceiveIngest();
+  return RoundTrip(req, &ParseIngestResponse);
 }
-
-Status BlockingClient::Send(const TripRequest& req) {
-  if (fd_ < 0) return Status::InvalidArgument("not connected");
-  const std::string frame = EncodeFrame(EncodeTripRequest(req));
-  return WriteAll(frame.data(), frame.size());
-}
-
-Result<TripResponse> BlockingClient::ReceiveTrip() {
-  if (fd_ < 0) return Status::InvalidArgument("not connected");
-  for (;;) {
-    std::string payload;
-    size_t oversized = 0;
-    const FrameDecoder::Next next = decoder_.Poll(&payload, &oversized);
-    if (next == FrameDecoder::Next::kFrame) {
-      return ParseTripResponse(payload);
-    }
-    if (next == FrameDecoder::Next::kOversized) {
-      return Status::IOError("server sent an oversized frame (" +
-                             std::to_string(oversized) + " bytes)");
-    }
-    char buf[16384];
-    const ssize_t n = ::recv(fd_, buf, sizeof(buf), 0);
-    if (n > 0) {
-      decoder_.Append(buf, static_cast<size_t>(n));
-      continue;
-    }
-    if (n == 0) return Status::IOError("connection closed by server");
-    if (errno == EINTR) continue;
-    return Status::IOError("recv: " + std::string(std::strerror(errno)));
-  }
-}
-
 Result<TripResponse> BlockingClient::Call(const TripRequest& req) {
-  UOTS_RETURN_NOT_OK(Send(req));
-  return ReceiveTrip();
+  return RoundTrip(req, &ParseTripResponse);
 }
 
 }  // namespace uots

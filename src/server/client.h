@@ -4,7 +4,8 @@
 // implementation of the protocol from the client side — the load generator
 // (apps/uots_client) and the loopback integration tests both drive it.
 // Pipelining is supported by splitting Call into Send + Receive: queue any
-// number of Sends, then Receive responses in order.
+// number of Sends, then Receive the responses. Responses correlate by id;
+// their order is the server's completion order, not request order.
 
 #ifndef UOTS_SERVER_CLIENT_H_
 #define UOTS_SERVER_CLIENT_H_
@@ -34,36 +35,32 @@ class BlockingClient {
 
   /// Sends one request frame (blocking until fully written).
   Status Send(const QueryRequest& req);
-
-  /// Receives the next response frame (blocking).
-  Result<QueryResponse> Receive();
-
-  /// Send + Receive.
-  Result<QueryResponse> Call(const QueryRequest& req);
-
-  /// Sends one ingest batch frame (blocking until fully written).
   Status Send(const IngestRequest& req);
-
-  /// Receives the next frame as an ingest response (blocking). Do not
-  /// interleave with Receive() expectations — responses arrive in request
-  /// order.
-  Result<IngestResponse> ReceiveIngest();
-
-  /// Send + ReceiveIngest.
-  Result<IngestResponse> Call(const IngestRequest& req);
-
-  /// Sends one trip-assembly request frame (blocking until fully written).
   Status Send(const TripRequest& req);
 
-  /// Receives the next frame as a trip response (blocking; responses
-  /// arrive in request order).
+  /// Receives the next response frame (blocking), decoded as a query,
+  /// ingest or trip response. Responses arrive in completion order; match
+  /// them to requests by id.
+  Result<QueryResponse> Receive();
+  Result<IngestResponse> ReceiveIngest();
   Result<TripResponse> ReceiveTrip();
 
-  /// Send + ReceiveTrip.
+  /// Send + the matching Receive (one request in flight, so the next frame
+  /// is its answer).
+  Result<QueryResponse> Call(const QueryRequest& req);
+  Result<IngestResponse> Call(const IngestRequest& req);
   Result<TripResponse> Call(const TripRequest& req);
 
  private:
   Status WriteAll(const char* data, size_t n);
+  Status SendPayload(const std::string& payload);
+  /// The one frame-receive loop behind every Receive*.
+  Result<std::string> ReceivePayload();
+  template <class Response>
+  Result<Response> ReceiveAs(Result<Response> (*parse)(std::string_view));
+  template <class Request, class Response>
+  Result<Response> RoundTrip(const Request& req,
+                             Result<Response> (*parse)(std::string_view));
 
   int fd_ = -1;
   FrameDecoder decoder_;

@@ -164,48 +164,13 @@ Result<AlgorithmKind> ParseAlgorithmKind(std::string_view name) {
   return Status::NotFound("unknown algorithm: " + std::string(name));
 }
 
-std::string EncodeQueryRequest(const QueryRequest& req) {
-  JsonValue o = JsonValue::Object();
-  o.Set("id", JsonValue::Int(req.id));
-  if (!req.request_id.empty()) {
-    o.Set("request_id", JsonValue::Str(req.request_id));
-  }
-  JsonValue locs = JsonValue::Array();
-  for (VertexId v : req.query.locations) {
-    locs.Append(JsonValue::Int(static_cast<int64_t>(v)));
-  }
-  o.Set("locations", std::move(locs));
-  JsonValue kws = JsonValue::Array();
-  for (TermId t : req.query.keywords.terms()) {
-    kws.Append(JsonValue::Int(static_cast<int64_t>(t)));
-  }
-  o.Set("keywords", std::move(kws));
-  o.Set("lambda", JsonValue::Number(req.query.lambda));
-  o.Set("k", JsonValue::Int(req.query.k));
-  if (req.has_algorithm) {
-    o.Set("algorithm", JsonValue::Str(ToString(req.algorithm)));
-  }
-  if (req.deadline_ms > 0.0) {
-    o.Set("deadline_ms", JsonValue::Number(req.deadline_ms));
-  }
-  if (req.cache == CacheMode::kBypass) {
-    o.Set("cache", JsonValue::Str("bypass"));
-  }
-  return o.Serialize();
-}
+namespace {
 
-Result<QueryRequest> ParseQueryRequest(std::string_view json) {
-  Result<JsonValue> parsed = ParseJson(json);
-  if (!parsed.ok()) return parsed.status();
-  return ParseQueryRequest(*parsed);
-}
-
-Result<QueryRequest> ParseQueryRequest(const JsonValue& o) {
+/// Reads "id" and "request_id", which every request kind carries.
+Status DecodeIds(const JsonValue& o, int64_t* id, std::string* request_id) {
   if (!o.is_object()) return Status::InvalidArgument("request must be an object");
-
-  QueryRequest req;
-  if (const JsonValue* id = o.Find("id")) {
-    UOTS_RETURN_NOT_OK(ReadInt(*id, "id", &req.id));
+  if (const JsonValue* v = o.Find("id")) {
+    UOTS_RETURN_NOT_OK(ReadInt(*v, "id", id));
   }
   if (const JsonValue* rid = o.Find("request_id")) {
     if (!rid->is_string()) {
@@ -216,8 +181,60 @@ Result<QueryRequest> ParseQueryRequest(const JsonValue& o) {
           "request_id too long (max " + std::to_string(kMaxRequestIdBytes) +
           " bytes)");
     }
-    req.request_id = rid->string_value();
+    *request_id = rid->string_value();
   }
+  return Status::OK();
+}
+
+/// Appends the elements of id array `arr` to `out`; `what` names one
+/// element in errors ("location", "keyword").
+Status ReadIds(const JsonValue& arr, const char* what,
+               std::vector<uint32_t>* out) {
+  out->reserve(out->size() + arr.array_items().size());
+  for (const JsonValue& v : arr.array_items()) {
+    int64_t id;
+    UOTS_RETURN_NOT_OK(ReadInt(v, what, &id));
+    if (id < 0 || id > UINT32_MAX) {
+      return Status::InvalidArgument(std::string(what) + " out of range");
+    }
+    out->push_back(static_cast<uint32_t>(id));
+  }
+  return Status::OK();
+}
+
+/// Encodes ids as a JSON array of integers.
+template <class Ids>
+JsonValue IdArray(const Ids& ids) {
+  JsonValue a = JsonValue::Array();
+  for (const auto id : ids) a.Append(JsonValue::Int(static_cast<int64_t>(id)));
+  return a;
+}
+
+/// Reads an optional term-id array (`what` names it in errors); absent
+/// means the empty set.
+Status DecodeTerms(const JsonValue* kws, const char* what, size_t max_terms,
+                   KeywordSet* out) {
+  std::vector<TermId> terms;
+  if (kws != nullptr) {
+    if (!kws->is_array()) {
+      return Status::InvalidArgument(std::string(what) + " must be an array");
+    }
+    if (kws->array_items().size() > max_terms) {
+      return Status::InvalidArgument("too many keywords (max " +
+                                     std::to_string(max_terms) + ")");
+    }
+    UOTS_RETURN_NOT_OK(ReadIds(*kws, "keyword", &terms));
+  }
+  *out = KeywordSet(std::move(terms));
+  return Status::OK();
+}
+
+/// Decodes the fields every query kind shares: ids, locations (at most
+/// `max_locations`), keywords, lambda, k, deadline and cache mode.
+template <class Query>
+Status DecodeCommon(const JsonValue& o, size_t max_locations,
+                    RequestCommon* req, Query* q) {
+  UOTS_RETURN_NOT_OK(DecodeIds(o, &req->id, &req->request_id));
   const JsonValue* locs = o.Find("locations");
   if (locs == nullptr || !locs->is_array()) {
     return Status::InvalidArgument("locations must be an array");
@@ -225,46 +242,225 @@ Result<QueryRequest> ParseQueryRequest(const JsonValue& o) {
   if (locs->array_items().empty()) {
     return Status::InvalidArgument("locations must not be empty");
   }
-  if (locs->array_items().size() > kMaxQueryLocations) {
+  if (locs->array_items().size() > max_locations) {
     return Status::InvalidArgument("too many locations (max " +
-                                   std::to_string(kMaxQueryLocations) + ")");
+                                   std::to_string(max_locations) + ")");
   }
-  req.query.locations.reserve(locs->array_items().size());
-  for (const JsonValue& v : locs->array_items()) {
-    int64_t id;
-    UOTS_RETURN_NOT_OK(ReadInt(v, "location", &id));
-    if (id < 0 || id > UINT32_MAX) {
-      return Status::InvalidArgument("location out of range");
-    }
-    req.query.locations.push_back(static_cast<VertexId>(id));
-  }
-  std::vector<TermId> terms;
-  if (const JsonValue* kws = o.Find("keywords")) {
-    if (!kws->is_array()) {
-      return Status::InvalidArgument("keywords must be an array");
-    }
-    for (const JsonValue& v : kws->array_items()) {
-      int64_t id;
-      UOTS_RETURN_NOT_OK(ReadInt(v, "keyword", &id));
-      if (id < 0 || id > UINT32_MAX) {
-        return Status::InvalidArgument("keyword out of range");
-      }
-      terms.push_back(static_cast<TermId>(id));
-    }
-  }
-  req.query.keywords = KeywordSet(std::move(terms));
+  UOTS_RETURN_NOT_OK(ReadIds(*locs, "location", &q->locations));
+  UOTS_RETURN_NOT_OK(DecodeTerms(o.Find("keywords"), "keywords", SIZE_MAX,
+                                 &q->keywords));
   if (const JsonValue* lambda = o.Find("lambda")) {
     if (!lambda->is_number()) {
       return Status::InvalidArgument("lambda must be a number");
     }
-    req.query.lambda = lambda->number_value();
+    q->lambda = lambda->number_value();
   }
   if (const JsonValue* k = o.Find("k")) {
     int64_t kk;
     UOTS_RETURN_NOT_OK(ReadInt(*k, "k", &kk));
     if (kk < 0 || kk > INT32_MAX) return Status::InvalidArgument("k out of range");
-    req.query.k = static_cast<int>(kk);
+    q->k = static_cast<int>(kk);
   }
+  if (const JsonValue* dl = o.Find("deadline_ms")) {
+    if (!dl->is_number() || dl->number_value() < 0.0) {
+      return Status::InvalidArgument("deadline_ms must be a number >= 0");
+    }
+    req->deadline_ms = dl->number_value();
+  }
+  if (const JsonValue* cache = o.Find("cache")) {
+    if (!cache->is_string()) {
+      return Status::InvalidArgument("cache must be a string");
+    }
+    const std::string_view mode = cache->string_value();
+    if (mode == "bypass") {
+      req->cache = CacheMode::kBypass;
+    } else if (mode != "default") {
+      return Status::InvalidArgument("cache must be \"default\" or \"bypass\"");
+    }
+  }
+  return Status::OK();
+}
+
+/// Encodes the fields DecodeCommon reads; `type` is omitted when null.
+template <class Query>
+JsonValue EncodeCommon(const RequestCommon& req, const char* type,
+                       const Query& q) {
+  JsonValue o = JsonValue::Object();
+  o.Set("id", JsonValue::Int(req.id));
+  if (type != nullptr) o.Set("type", JsonValue::Str(type));
+  if (!req.request_id.empty()) {
+    o.Set("request_id", JsonValue::Str(req.request_id));
+  }
+  o.Set("locations", IdArray(q.locations));
+  o.Set("keywords", IdArray(q.keywords.terms()));
+  o.Set("lambda", JsonValue::Number(q.lambda));
+  o.Set("k", JsonValue::Int(q.k));
+  if (req.deadline_ms > 0.0) {
+    o.Set("deadline_ms", JsonValue::Number(req.deadline_ms));
+  }
+  if (req.cache == CacheMode::kBypass) {
+    o.Set("cache", JsonValue::Str("bypass"));
+  }
+  return o;
+}
+
+/// Parses `json` and hands the document to an object-level decoder.
+template <class T>
+Result<T> ParseText(std::string_view json, Result<T> (*decode)(const JsonValue&)) {
+  Result<JsonValue> parsed = ParseJson(json);
+  if (!parsed.ok()) return parsed.status();
+  return decode(*parsed);
+}
+
+/// Encodes the envelope; a non-ok status also gets "error" and "retryable"
+/// (and nothing else: the caller returns the envelope as the response).
+JsonValue EncodeEnvelope(const ResponseEnvelope& resp) {
+  JsonValue o = JsonValue::Object();
+  o.Set("id", JsonValue::Int(resp.id));
+  if (!resp.request_id.empty()) {
+    o.Set("request_id", JsonValue::Str(resp.request_id));
+  }
+  o.Set("status", JsonValue::Str(ToString(resp.status)));
+  if (!resp.ok()) {
+    if (!resp.error.empty()) o.Set("error", JsonValue::Str(resp.error));
+    o.Set("retryable", JsonValue::Bool(resp.retryable()));
+  }
+  return o;
+}
+
+/// Decodes the envelope of any response kind.
+Status DecodeEnvelope(const JsonValue& o, ResponseEnvelope* resp) {
+  if (!o.is_object()) {
+    return Status::InvalidArgument("response must be an object");
+  }
+  if (const JsonValue* id = o.Find("id")) {
+    UOTS_RETURN_NOT_OK(ReadInt(*id, "id", &resp->id));
+  }
+  if (const JsonValue* rid = o.Find("request_id")) {
+    resp->request_id = rid->StringOr("");
+  }
+  const JsonValue* status = o.Find("status");
+  if (status == nullptr || !status->is_string()) {
+    return Status::InvalidArgument("response missing status");
+  }
+  resp->status = ParseResponseStatus(status->string_value());
+  if (const JsonValue* err = o.Find("error")) {
+    resp->error = err->StringOr("");
+  }
+  return Status::OK();
+}
+
+/// The shared response encoder: the envelope, then on success the kind's
+/// answer list `body` under `body_key`, the cached flag, the engine stats
+/// and the server block.
+std::string EncodeResponse(const ResponseCommon& resp, const char* body_key,
+                           JsonValue body) {
+  JsonValue o = EncodeEnvelope(resp);
+  if (!resp.ok()) return o.Serialize();
+  o.Set(body_key, std::move(body));
+  if (resp.cached) o.Set("cached", JsonValue::Bool(true));
+  std::string out;
+  out.reserve(256);
+  // Serialize up to (and excluding) the closing brace, then splice the
+  // already-JSON stats blob and the server block in.
+  std::string head = o.Serialize();
+  head.pop_back();  // '}'
+  out += head;
+  if (resp.has_stats) {
+    out += ",\"stats\":";
+    out += resp.stats.ToJson();
+  }
+  out += ",\"server\":{\"queue_wait_ms\":";
+  JsonAppendDouble(resp.queue_wait_ms, &out);
+  out += ",\"execute_ms\":";
+  JsonAppendDouble(resp.execute_ms, &out);
+  out += "}}";
+  return out;
+}
+
+/// Reads a numeric member, `fallback` when absent.
+double NumberField(const JsonValue& o, const char* key, double fallback = 0) {
+  const JsonValue* v = o.Find(key);
+  return v != nullptr ? v->NumberOr(fallback) : fallback;
+}
+
+/// Reads an integral member through int64 (so -1 fallbacks survive the
+/// cast to unsigned id types).
+int64_t IntField(const JsonValue& o, const char* key, int64_t fallback = 0) {
+  return static_cast<int64_t>(
+      NumberField(o, key, static_cast<double>(fallback)));
+}
+
+/// The integer counters of QueryStats::ToJson, in its order.
+constexpr std::pair<const char*, int64_t QueryStats::*> kStatsFields[] = {
+    {"visited_trajectories", &QueryStats::visited_trajectories},
+    {"trajectory_hits", &QueryStats::trajectory_hits},
+    {"settled_vertices", &QueryStats::settled_vertices},
+    {"heap_pops", &QueryStats::heap_pops},
+    {"heap_pushes", &QueryStats::heap_pushes},
+    {"heap_decreases", &QueryStats::heap_decreases},
+    {"heap_stale_pops", &QueryStats::heap_stale_pops},
+    {"candidates", &QueryStats::candidates},
+    {"posting_entries", &QueryStats::posting_entries},
+    {"schedule_steps", &QueryStats::schedule_steps},
+    {"bound_rebuilds", &QueryStats::bound_rebuilds},
+    {"dcache_hits", &QueryStats::dcache_hits},
+    {"dcache_replayed", &QueryStats::dcache_replayed},
+    {"dcache_published", &QueryStats::dcache_published},
+    {"oracle_lookups", &QueryStats::oracle_lookups},
+    {"oracle_pruned_candidates", &QueryStats::oracle_pruned_candidates},
+};
+
+/// The shared response decoder: everything EncodeResponse writes except
+/// the answer list, which the caller reads from the returned document.
+Result<JsonValue> DecodeResponse(std::string_view json, ResponseCommon* resp) {
+  Result<JsonValue> parsed = ParseJson(json);
+  if (!parsed.ok()) return parsed.status();
+  const JsonValue& o = *parsed;
+  UOTS_RETURN_NOT_OK(DecodeEnvelope(o, resp));
+  if (const JsonValue* cached = o.Find("cached")) {
+    resp->cached = cached->BoolOr(false);
+  }
+  if (const JsonValue* stats = o.Find("stats"); stats && stats->is_object()) {
+    resp->has_stats = true;
+    for (const auto& [key, field] : kStatsFields) {
+      resp->stats.*field = IntField(*stats, key);
+    }
+    resp->stats.elapsed_ms = NumberField(*stats, "elapsed_ms");
+  }
+  if (const JsonValue* server = o.Find("server"); server && server->is_object()) {
+    resp->queue_wait_ms = NumberField(*server, "queue_wait_ms");
+    resp->execute_ms = NumberField(*server, "execute_ms");
+  }
+  return parsed;
+}
+
+/// Reads an optional array member; null when absent.
+Result<const JsonValue*> ArrayField(const JsonValue& o, const char* key) {
+  const JsonValue* v = o.Find(key);
+  if (v != nullptr && !v->is_array()) {
+    return Status::InvalidArgument(std::string(key) + " must be an array");
+  }
+  return v;
+}
+
+}  // namespace
+
+std::string EncodeQueryRequest(const QueryRequest& req) {
+  JsonValue o = EncodeCommon(req, nullptr, req.query);
+  if (req.has_algorithm) {
+    o.Set("algorithm", JsonValue::Str(ToString(req.algorithm)));
+  }
+  return o.Serialize();
+}
+
+Result<QueryRequest> ParseQueryRequest(std::string_view json) {
+  return ParseText<QueryRequest>(json, &ParseQueryRequest);
+}
+
+Result<QueryRequest> ParseQueryRequest(const JsonValue& o) {
+  QueryRequest req;
+  UOTS_RETURN_NOT_OK(DecodeCommon(o, kMaxQueryLocations, &req, &req.query));
   if (const JsonValue* algo = o.Find("algorithm")) {
     if (!algo->is_string()) {
       return Status::InvalidArgument("algorithm must be a string");
@@ -273,23 +469,6 @@ Result<QueryRequest> ParseQueryRequest(const JsonValue& o) {
     if (!kind.ok()) return kind.status();
     req.algorithm = *kind;
     req.has_algorithm = true;
-  }
-  if (const JsonValue* dl = o.Find("deadline_ms")) {
-    if (!dl->is_number() || dl->number_value() < 0.0) {
-      return Status::InvalidArgument("deadline_ms must be a number >= 0");
-    }
-    req.deadline_ms = dl->number_value();
-  }
-  if (const JsonValue* cache = o.Find("cache")) {
-    if (!cache->is_string()) {
-      return Status::InvalidArgument("cache must be a string");
-    }
-    const std::string_view mode = cache->string_value();
-    if (mode == "bypass") {
-      req.cache = CacheMode::kBypass;
-    } else if (mode != "default") {
-      return Status::InvalidArgument("cache must be \"default\" or \"bypass\"");
-    }
   }
   return req;
 }
@@ -323,11 +502,7 @@ std::string EncodeIngestRequest(const IngestRequest& req) {
       samples.Append(std::move(pair));
     }
     trip.Set("samples", std::move(samples));
-    JsonValue kws = JsonValue::Array();
-    for (TermId k : t.keywords.terms()) {
-      kws.Append(JsonValue::Int(static_cast<int64_t>(k)));
-    }
-    trip.Set("keywords", std::move(kws));
+    trip.Set("keywords", IdArray(t.keywords.terms()));
     trips.Append(std::move(trip));
   }
   o.Set("trajectories", std::move(trips));
@@ -335,24 +510,8 @@ std::string EncodeIngestRequest(const IngestRequest& req) {
 }
 
 Result<IngestRequest> ParseIngestRequest(const JsonValue& o) {
-  if (!o.is_object()) {
-    return Status::InvalidArgument("request must be an object");
-  }
   IngestRequest req;
-  if (const JsonValue* id = o.Find("id")) {
-    UOTS_RETURN_NOT_OK(ReadInt(*id, "id", &req.id));
-  }
-  if (const JsonValue* rid = o.Find("request_id")) {
-    if (!rid->is_string()) {
-      return Status::InvalidArgument("request_id must be a string");
-    }
-    if (rid->string_value().size() > kMaxRequestIdBytes) {
-      return Status::InvalidArgument(
-          "request_id too long (max " + std::to_string(kMaxRequestIdBytes) +
-          " bytes)");
-    }
-    req.request_id = rid->string_value();
-  }
+  UOTS_RETURN_NOT_OK(DecodeIds(o, &req.id, &req.request_id));
   const JsonValue* trips = o.Find("trajectories");
   if (trips == nullptr || !trips->is_array()) {
     return Status::InvalidArgument("trajectories must be an array");
@@ -399,49 +558,22 @@ Result<IngestRequest> ParseIngestRequest(const JsonValue& o) {
       t.samples.push_back(Sample{static_cast<VertexId>(vertex),
                                  static_cast<int32_t>(time_s)});
     }
-    std::vector<TermId> terms;
-    if (const JsonValue* kws = trip.Find("keywords")) {
-      if (!kws->is_array()) {
-        return Status::InvalidArgument("trajectory keywords must be an array");
-      }
-      if (kws->array_items().size() > kMaxIngestKeywordsPerTrajectory) {
-        return Status::InvalidArgument(
-            "too many keywords (max " +
-            std::to_string(kMaxIngestKeywordsPerTrajectory) + ")");
-      }
-      for (const JsonValue& v : kws->array_items()) {
-        int64_t id;
-        UOTS_RETURN_NOT_OK(ReadInt(v, "keyword", &id));
-        if (id < 0 || id > UINT32_MAX) {
-          return Status::InvalidArgument("keyword out of range");
-        }
-        terms.push_back(static_cast<TermId>(id));
-      }
-    }
-    t.keywords = KeywordSet(std::move(terms));
+    UOTS_RETURN_NOT_OK(DecodeTerms(trip.Find("keywords"),
+                                   "trajectory keywords",
+                                   kMaxIngestKeywordsPerTrajectory,
+                                   &t.keywords));
     req.trajectories.push_back(std::move(t));
   }
   return req;
 }
 
 Result<IngestRequest> ParseIngestRequest(std::string_view json) {
-  Result<JsonValue> parsed = ParseJson(json);
-  if (!parsed.ok()) return parsed.status();
-  return ParseIngestRequest(*parsed);
+  return ParseText<IngestRequest>(json, &ParseIngestRequest);
 }
 
 std::string EncodeIngestResponse(const IngestResponse& resp) {
-  JsonValue o = JsonValue::Object();
-  o.Set("id", JsonValue::Int(resp.id));
-  if (!resp.request_id.empty()) {
-    o.Set("request_id", JsonValue::Str(resp.request_id));
-  }
-  o.Set("status", JsonValue::Str(ToString(resp.status)));
-  if (resp.status != ResponseStatus::kOk) {
-    if (!resp.error.empty()) o.Set("error", JsonValue::Str(resp.error));
-    o.Set("retryable", JsonValue::Bool(resp.retryable()));
-    return o.Serialize();
-  }
+  JsonValue o = EncodeEnvelope(resp);
+  if (!resp.ok()) return o.Serialize();
   o.Set("accepted", JsonValue::Int(resp.accepted));
   o.Set("first_traj", JsonValue::Int(resp.first_traj));
   o.Set("generation", JsonValue::Int(resp.generation));
@@ -452,50 +584,16 @@ std::string EncodeIngestResponse(const IngestResponse& resp) {
 Result<IngestResponse> ParseIngestResponse(std::string_view json) {
   Result<JsonValue> parsed = ParseJson(json);
   if (!parsed.ok()) return parsed.status();
-  const JsonValue& o = *parsed;
-  if (!o.is_object()) {
-    return Status::InvalidArgument("response must be an object");
-  }
   IngestResponse resp;
-  if (const JsonValue* id = o.Find("id")) {
-    UOTS_RETURN_NOT_OK(ReadInt(*id, "id", &resp.id));
-  }
-  if (const JsonValue* rid = o.Find("request_id")) {
-    resp.request_id = rid->StringOr("");
-  }
-  const JsonValue* status = o.Find("status");
-  if (status == nullptr || !status->is_string()) {
-    return Status::InvalidArgument("response missing status");
-  }
-  resp.status = ParseResponseStatus(status->string_value());
-  if (const JsonValue* err = o.Find("error")) {
-    resp.error = err->StringOr("");
-  }
-  const auto geti = [&](const char* key, int64_t fallback) -> int64_t {
-    const JsonValue* v = o.Find(key);
-    return v != nullptr ? static_cast<int64_t>(v->NumberOr(
-                              static_cast<double>(fallback)))
-                        : fallback;
-  };
-  resp.accepted = geti("accepted", 0);
-  resp.first_traj = geti("first_traj", -1);
-  resp.generation = geti("generation", 0);
-  resp.delta_trajectories = geti("delta_trajectories", 0);
+  UOTS_RETURN_NOT_OK(DecodeEnvelope(*parsed, &resp));
+  resp.accepted = IntField(*parsed, "accepted");
+  resp.first_traj = IntField(*parsed, "first_traj", -1);
+  resp.generation = IntField(*parsed, "generation");
+  resp.delta_trajectories = IntField(*parsed, "delta_trajectories");
   return resp;
 }
 
 std::string EncodeQueryResponse(const QueryResponse& resp) {
-  JsonValue o = JsonValue::Object();
-  o.Set("id", JsonValue::Int(resp.id));
-  if (!resp.request_id.empty()) {
-    o.Set("request_id", JsonValue::Str(resp.request_id));
-  }
-  o.Set("status", JsonValue::Str(ToString(resp.status)));
-  if (resp.status != ResponseStatus::kOk) {
-    if (!resp.error.empty()) o.Set("error", JsonValue::Str(resp.error));
-    o.Set("retryable", JsonValue::Bool(resp.retryable()));
-    return o.Serialize();
-  }
   JsonValue items = JsonValue::Array();
   for (const ScoredTrajectory& st : resp.results) {
     JsonValue item = JsonValue::Object();
@@ -505,46 +603,36 @@ std::string EncodeQueryResponse(const QueryResponse& resp) {
     item.Set("textual", JsonValue::Number(st.textual_sim));
     items.Append(std::move(item));
   }
-  o.Set("results", std::move(items));
-  if (resp.cached) o.Set("cached", JsonValue::Bool(true));
-  std::string out;
-  out.reserve(256);
-  // Serialize up to (and excluding) the closing brace, then splice the
-  // already-JSON stats blob and the server block in.
-  std::string head = o.Serialize();
-  head.pop_back();  // '}'
-  out += head;
-  if (resp.has_stats) {
-    out += ",\"stats\":";
-    out += resp.stats.ToJson();
+  return EncodeResponse(resp, "results", std::move(items));
+}
+
+Result<QueryResponse> ParseQueryResponse(std::string_view json) {
+  QueryResponse resp;
+  Result<JsonValue> doc = DecodeResponse(json, &resp);
+  if (!doc.ok()) return doc.status();
+  Result<const JsonValue*> results = ArrayField(*doc, "results");
+  if (!results.ok()) return results.status();
+  if (*results == nullptr) return resp;
+  for (const JsonValue& item : (*results)->array_items()) {
+    if (!item.is_object()) {
+      return Status::InvalidArgument("result item must be an object");
+    }
+    ScoredTrajectory st;
+    int64_t traj = -1;
+    if (const JsonValue* t = item.Find("traj")) {
+      UOTS_RETURN_NOT_OK(ReadInt(*t, "traj", &traj));
+    }
+    st.id = static_cast<TrajId>(traj);
+    st.score = NumberField(item, "score");
+    st.spatial_sim = NumberField(item, "spatial");
+    st.textual_sim = NumberField(item, "textual");
+    resp.results.push_back(st);
   }
-  out += ",\"server\":{\"queue_wait_ms\":";
-  JsonAppendDouble(resp.queue_wait_ms, &out);
-  out += ",\"execute_ms\":";
-  JsonAppendDouble(resp.execute_ms, &out);
-  out += "}}";
-  return out;
+  return resp;
 }
 
 std::string EncodeTripRequest(const TripRequest& req) {
-  JsonValue o = JsonValue::Object();
-  o.Set("id", JsonValue::Int(req.id));
-  o.Set("type", JsonValue::Str("trip"));
-  if (!req.request_id.empty()) {
-    o.Set("request_id", JsonValue::Str(req.request_id));
-  }
-  JsonValue locs = JsonValue::Array();
-  for (VertexId v : req.query.locations) {
-    locs.Append(JsonValue::Int(static_cast<int64_t>(v)));
-  }
-  o.Set("locations", std::move(locs));
-  JsonValue kws = JsonValue::Array();
-  for (TermId t : req.query.keywords.terms()) {
-    kws.Append(JsonValue::Int(static_cast<int64_t>(t)));
-  }
-  o.Set("keywords", std::move(kws));
-  o.Set("lambda", JsonValue::Number(req.query.lambda));
-  o.Set("k", JsonValue::Int(req.query.k));
+  JsonValue o = EncodeCommon(req, "trip", req.query);
   if (req.query.ordered) o.Set("ordered", JsonValue::Bool(true));
   if (req.query.use_categories) o.Set("categories", JsonValue::Bool(true));
   if (req.query.gap_budget_m > 0.0) {
@@ -553,83 +641,12 @@ std::string EncodeTripRequest(const TripRequest& req) {
   o.Set("segments_per_location",
         JsonValue::Int(req.query.segments_per_location));
   o.Set("window", JsonValue::Int(req.query.window));
-  if (req.deadline_ms > 0.0) {
-    o.Set("deadline_ms", JsonValue::Number(req.deadline_ms));
-  }
-  if (req.cache == CacheMode::kBypass) {
-    o.Set("cache", JsonValue::Str("bypass"));
-  }
   return o.Serialize();
 }
 
 Result<TripRequest> ParseTripRequest(const JsonValue& o) {
-  if (!o.is_object()) {
-    return Status::InvalidArgument("request must be an object");
-  }
   TripRequest req;
-  if (const JsonValue* id = o.Find("id")) {
-    UOTS_RETURN_NOT_OK(ReadInt(*id, "id", &req.id));
-  }
-  if (const JsonValue* rid = o.Find("request_id")) {
-    if (!rid->is_string()) {
-      return Status::InvalidArgument("request_id must be a string");
-    }
-    if (rid->string_value().size() > kMaxRequestIdBytes) {
-      return Status::InvalidArgument(
-          "request_id too long (max " + std::to_string(kMaxRequestIdBytes) +
-          " bytes)");
-    }
-    req.request_id = rid->string_value();
-  }
-  const JsonValue* locs = o.Find("locations");
-  if (locs == nullptr || !locs->is_array()) {
-    return Status::InvalidArgument("locations must be an array");
-  }
-  if (locs->array_items().empty()) {
-    return Status::InvalidArgument("locations must not be empty");
-  }
-  if (locs->array_items().size() > kMaxTripLocations) {
-    return Status::InvalidArgument("too many locations (max " +
-                                   std::to_string(kMaxTripLocations) + ")");
-  }
-  req.query.locations.reserve(locs->array_items().size());
-  for (const JsonValue& v : locs->array_items()) {
-    int64_t id;
-    UOTS_RETURN_NOT_OK(ReadInt(v, "location", &id));
-    if (id < 0 || id > UINT32_MAX) {
-      return Status::InvalidArgument("location out of range");
-    }
-    req.query.locations.push_back(static_cast<VertexId>(id));
-  }
-  std::vector<TermId> terms;
-  if (const JsonValue* kws = o.Find("keywords")) {
-    if (!kws->is_array()) {
-      return Status::InvalidArgument("keywords must be an array");
-    }
-    for (const JsonValue& v : kws->array_items()) {
-      int64_t id;
-      UOTS_RETURN_NOT_OK(ReadInt(v, "keyword", &id));
-      if (id < 0 || id > UINT32_MAX) {
-        return Status::InvalidArgument("keyword out of range");
-      }
-      terms.push_back(static_cast<TermId>(id));
-    }
-  }
-  req.query.keywords = KeywordSet(std::move(terms));
-  if (const JsonValue* lambda = o.Find("lambda")) {
-    if (!lambda->is_number()) {
-      return Status::InvalidArgument("lambda must be a number");
-    }
-    req.query.lambda = lambda->number_value();
-  }
-  if (const JsonValue* k = o.Find("k")) {
-    int64_t kk;
-    UOTS_RETURN_NOT_OK(ReadInt(*k, "k", &kk));
-    if (kk < 0 || kk > INT32_MAX) {
-      return Status::InvalidArgument("k out of range");
-    }
-    req.query.k = static_cast<int>(kk);
-  }
+  UOTS_RETURN_NOT_OK(DecodeCommon(o, kMaxTripLocations, &req, &req.query));
   if (const JsonValue* ordered = o.Find("ordered")) {
     if (!ordered->is_bool()) {
       return Status::InvalidArgument("ordered must be a boolean");
@@ -664,44 +681,14 @@ Result<TripRequest> ParseTripRequest(const JsonValue& o) {
     }
     req.query.window = static_cast<int>(v);
   }
-  if (const JsonValue* dl = o.Find("deadline_ms")) {
-    if (!dl->is_number() || dl->number_value() < 0.0) {
-      return Status::InvalidArgument("deadline_ms must be a number >= 0");
-    }
-    req.deadline_ms = dl->number_value();
-  }
-  if (const JsonValue* cache = o.Find("cache")) {
-    if (!cache->is_string()) {
-      return Status::InvalidArgument("cache must be a string");
-    }
-    const std::string_view mode = cache->string_value();
-    if (mode == "bypass") {
-      req.cache = CacheMode::kBypass;
-    } else if (mode != "default") {
-      return Status::InvalidArgument("cache must be \"default\" or \"bypass\"");
-    }
-  }
   return req;
 }
 
 Result<TripRequest> ParseTripRequest(std::string_view json) {
-  Result<JsonValue> parsed = ParseJson(json);
-  if (!parsed.ok()) return parsed.status();
-  return ParseTripRequest(*parsed);
+  return ParseText<TripRequest>(json, &ParseTripRequest);
 }
 
 std::string EncodeTripResponse(const TripResponse& resp) {
-  JsonValue o = JsonValue::Object();
-  o.Set("id", JsonValue::Int(resp.id));
-  if (!resp.request_id.empty()) {
-    o.Set("request_id", JsonValue::Str(resp.request_id));
-  }
-  o.Set("status", JsonValue::Str(ToString(resp.status)));
-  if (resp.status != ResponseStatus::kOk) {
-    if (!resp.error.empty()) o.Set("error", JsonValue::Str(resp.error));
-    o.Set("retryable", JsonValue::Bool(resp.retryable()));
-    return o.Serialize();
-  }
   JsonValue trips = JsonValue::Array();
   for (const AssembledTrip& trip : resp.trips) {
     JsonValue t = JsonValue::Object();
@@ -724,211 +711,44 @@ std::string EncodeTripResponse(const TripResponse& resp) {
     t.Set("segments", std::move(segments));
     trips.Append(std::move(t));
   }
-  o.Set("trips", std::move(trips));
-  if (resp.cached) o.Set("cached", JsonValue::Bool(true));
-  std::string out;
-  out.reserve(256);
-  std::string head = o.Serialize();
-  head.pop_back();  // '}'
-  out += head;
-  if (resp.has_stats) {
-    out += ",\"stats\":";
-    out += resp.stats.ToJson();
-  }
-  out += ",\"server\":{\"queue_wait_ms\":";
-  JsonAppendDouble(resp.queue_wait_ms, &out);
-  out += ",\"execute_ms\":";
-  JsonAppendDouble(resp.execute_ms, &out);
-  out += "}}";
-  return out;
+  return EncodeResponse(resp, "trips", std::move(trips));
 }
 
 Result<TripResponse> ParseTripResponse(std::string_view json) {
-  Result<JsonValue> parsed = ParseJson(json);
-  if (!parsed.ok()) return parsed.status();
-  const JsonValue& o = *parsed;
-  if (!o.is_object()) {
-    return Status::InvalidArgument("response must be an object");
-  }
   TripResponse resp;
-  if (const JsonValue* id = o.Find("id")) {
-    UOTS_RETURN_NOT_OK(ReadInt(*id, "id", &resp.id));
-  }
-  if (const JsonValue* rid = o.Find("request_id")) {
-    resp.request_id = rid->StringOr("");
-  }
-  const JsonValue* status = o.Find("status");
-  if (status == nullptr || !status->is_string()) {
-    return Status::InvalidArgument("response missing status");
-  }
-  resp.status = ParseResponseStatus(status->string_value());
-  if (const JsonValue* err = o.Find("error")) {
-    resp.error = err->StringOr("");
-  }
-  if (const JsonValue* trips = o.Find("trips")) {
-    if (!trips->is_array()) {
-      return Status::InvalidArgument("trips must be an array");
+  Result<JsonValue> doc = DecodeResponse(json, &resp);
+  if (!doc.ok()) return doc.status();
+  Result<const JsonValue*> trips = ArrayField(*doc, "trips");
+  if (!trips.ok()) return trips.status();
+  if (*trips == nullptr) return resp;
+  for (const JsonValue& t : (*trips)->array_items()) {
+    if (!t.is_object()) {
+      return Status::InvalidArgument("trip must be an object");
     }
-    for (const JsonValue& t : trips->array_items()) {
-      if (!t.is_object()) {
-        return Status::InvalidArgument("trip must be an object");
-      }
-      AssembledTrip trip;
-      trip.score = t.Find("score") ? t.Find("score")->NumberOr(0) : 0;
-      trip.spatial_sim =
-          t.Find("spatial") ? t.Find("spatial")->NumberOr(0) : 0;
-      trip.textual_sim =
-          t.Find("textual") ? t.Find("textual")->NumberOr(0) : 0;
-      trip.connector_total_m =
-          t.Find("connector_m") ? t.Find("connector_m")->NumberOr(0) : 0;
-      if (const JsonValue* segments = t.Find("segments")) {
-        if (!segments->is_array()) {
-          return Status::InvalidArgument("segments must be an array");
+    AssembledTrip trip;
+    trip.score = NumberField(t, "score");
+    trip.spatial_sim = NumberField(t, "spatial");
+    trip.textual_sim = NumberField(t, "textual");
+    trip.connector_total_m = NumberField(t, "connector_m");
+    Result<const JsonValue*> segments = ArrayField(t, "segments");
+    if (!segments.ok()) return segments.status();
+    if (*segments != nullptr) {
+      for (const JsonValue& sv : (*segments)->array_items()) {
+        if (!sv.is_object()) {
+          return Status::InvalidArgument("segment must be an object");
         }
-        for (const JsonValue& sv : segments->array_items()) {
-          if (!sv.is_object()) {
-            return Status::InvalidArgument("segment must be an object");
-          }
-          TripSegment s;
-          const auto geti = [&](const char* key, int64_t fallback) -> int64_t {
-            const JsonValue* v = sv.Find(key);
-            return v != nullptr ? static_cast<int64_t>(v->NumberOr(
-                                      static_cast<double>(fallback)))
-                                : fallback;
-          };
-          s.traj = static_cast<TrajId>(geti("traj", -1));
-          s.begin = static_cast<uint32_t>(geti("begin", 0));
-          s.end = static_cast<uint32_t>(geti("end", 0));
-          s.entry = static_cast<VertexId>(geti("entry", -1));
-          s.exit = static_cast<VertexId>(geti("exit", -1));
-          s.loc_distance = sv.Find("loc_distance")
-                               ? sv.Find("loc_distance")->NumberOr(0)
-                               : 0;
-          s.connector_m = sv.Find("connector_m")
-                              ? sv.Find("connector_m")->NumberOr(0)
-                              : 0;
-          trip.segments.push_back(s);
-        }
-      }
-      resp.trips.push_back(std::move(trip));
-    }
-  }
-  if (const JsonValue* cached = o.Find("cached")) {
-    resp.cached = cached->BoolOr(false);
-  }
-  if (const JsonValue* server = o.Find("server")) {
-    if (server->is_object()) {
-      if (const JsonValue* v = server->Find("queue_wait_ms")) {
-        resp.queue_wait_ms = v->NumberOr(0.0);
-      }
-      if (const JsonValue* v = server->Find("execute_ms")) {
-        resp.execute_ms = v->NumberOr(0.0);
+        TripSegment s;
+        s.traj = static_cast<TrajId>(IntField(sv, "traj", -1));
+        s.begin = static_cast<uint32_t>(IntField(sv, "begin"));
+        s.end = static_cast<uint32_t>(IntField(sv, "end"));
+        s.entry = static_cast<VertexId>(IntField(sv, "entry", -1));
+        s.exit = static_cast<VertexId>(IntField(sv, "exit", -1));
+        s.loc_distance = NumberField(sv, "loc_distance");
+        s.connector_m = NumberField(sv, "connector_m");
+        trip.segments.push_back(s);
       }
     }
-  }
-  if (const JsonValue* stats = o.Find("stats")) {
-    if (stats->is_object()) {
-      resp.has_stats = true;
-      const auto geti = [&](const char* key) -> int64_t {
-        const JsonValue* v = stats->Find(key);
-        return v != nullptr ? static_cast<int64_t>(v->NumberOr(0)) : 0;
-      };
-      resp.stats.visited_trajectories = geti("visited_trajectories");
-      resp.stats.settled_vertices = geti("settled_vertices");
-      resp.stats.candidates = geti("candidates");
-      resp.stats.oracle_lookups = geti("oracle_lookups");
-      if (const JsonValue* ms = stats->Find("elapsed_ms")) {
-        resp.stats.elapsed_ms = ms->NumberOr(0.0);
-      }
-    }
-  }
-  return resp;
-}
-
-Result<QueryResponse> ParseQueryResponse(std::string_view json) {
-  Result<JsonValue> parsed = ParseJson(json);
-  if (!parsed.ok()) return parsed.status();
-  const JsonValue& o = *parsed;
-  if (!o.is_object()) {
-    return Status::InvalidArgument("response must be an object");
-  }
-  QueryResponse resp;
-  if (const JsonValue* id = o.Find("id")) {
-    UOTS_RETURN_NOT_OK(ReadInt(*id, "id", &resp.id));
-  }
-  if (const JsonValue* rid = o.Find("request_id")) {
-    resp.request_id = rid->StringOr("");
-  }
-  const JsonValue* status = o.Find("status");
-  if (status == nullptr || !status->is_string()) {
-    return Status::InvalidArgument("response missing status");
-  }
-  resp.status = ParseResponseStatus(status->string_value());
-  if (const JsonValue* err = o.Find("error")) {
-    resp.error = err->StringOr("");
-  }
-  if (const JsonValue* results = o.Find("results")) {
-    if (!results->is_array()) {
-      return Status::InvalidArgument("results must be an array");
-    }
-    for (const JsonValue& item : results->array_items()) {
-      if (!item.is_object()) {
-        return Status::InvalidArgument("result item must be an object");
-      }
-      ScoredTrajectory st;
-      int64_t traj = -1;
-      if (const JsonValue* t = item.Find("traj")) {
-        UOTS_RETURN_NOT_OK(ReadInt(*t, "traj", &traj));
-      }
-      st.id = static_cast<TrajId>(traj);
-      st.score = item.Find("score") ? item.Find("score")->NumberOr(0) : 0;
-      st.spatial_sim =
-          item.Find("spatial") ? item.Find("spatial")->NumberOr(0) : 0;
-      st.textual_sim =
-          item.Find("textual") ? item.Find("textual")->NumberOr(0) : 0;
-      resp.results.push_back(st);
-    }
-  }
-  if (const JsonValue* cached = o.Find("cached")) {
-    resp.cached = cached->BoolOr(false);
-  }
-  if (const JsonValue* stats = o.Find("stats")) {
-    if (stats->is_object()) {
-      resp.has_stats = true;
-      const auto geti = [&](const char* key) -> int64_t {
-        const JsonValue* v = stats->Find(key);
-        return v != nullptr ? static_cast<int64_t>(v->NumberOr(0)) : 0;
-      };
-      resp.stats.visited_trajectories = geti("visited_trajectories");
-      resp.stats.trajectory_hits = geti("trajectory_hits");
-      resp.stats.settled_vertices = geti("settled_vertices");
-      resp.stats.heap_pops = geti("heap_pops");
-      resp.stats.heap_pushes = geti("heap_pushes");
-      resp.stats.heap_decreases = geti("heap_decreases");
-      resp.stats.heap_stale_pops = geti("heap_stale_pops");
-      resp.stats.candidates = geti("candidates");
-      resp.stats.posting_entries = geti("posting_entries");
-      resp.stats.schedule_steps = geti("schedule_steps");
-      resp.stats.bound_rebuilds = geti("bound_rebuilds");
-      resp.stats.dcache_hits = geti("dcache_hits");
-      resp.stats.dcache_replayed = geti("dcache_replayed");
-      resp.stats.dcache_published = geti("dcache_published");
-      resp.stats.oracle_lookups = geti("oracle_lookups");
-      resp.stats.oracle_pruned_candidates = geti("oracle_pruned_candidates");
-      if (const JsonValue* ms = stats->Find("elapsed_ms")) {
-        resp.stats.elapsed_ms = ms->NumberOr(0.0);
-      }
-    }
-  }
-  if (const JsonValue* server = o.Find("server")) {
-    if (server->is_object()) {
-      if (const JsonValue* v = server->Find("queue_wait_ms")) {
-        resp.queue_wait_ms = v->NumberOr(0.0);
-      }
-      if (const JsonValue* v = server->Find("execute_ms")) {
-        resp.execute_ms = v->NumberOr(0.0);
-      }
-    }
+    resp.trips.push_back(std::move(trip));
   }
   return resp;
 }

@@ -14,8 +14,8 @@
 //    "locations": [12, 904, 77],   // query vertices, 1..64
 //    "keywords": [3, 15],          // term ids
 //    "lambda": 0.5, "k": 10,
-//    "algorithm": "UOTS",          // optional; ToString(AlgorithmKind) name
-//    "deadline_ms": 50}            // optional; 0/absent = server default
+//    "deadline_ms": 50,            // optional; 0/absent = server default
+//    "algorithm": "UOTS"}          // optional; ToString(AlgorithmKind) name
 //
 // Response object:
 //   {"id": 7, "request_id": "cli-42",  // echoed byte-for-byte (or generated)
@@ -26,6 +26,11 @@
 // or on failure:
 //   {"id": 7, "request_id": "s3-17", "status": "overloaded",
 //    "retryable": true, "error": "..."}
+//
+// Pipelining: a connection may carry any number of outstanding requests.
+// Responses correlate by "id"; order is completion order. Cache hits,
+// rejections and parse errors are answered as soon as their frame is read,
+// executed requests as their workers finish.
 //
 // The request_id is the observability correlation key: the server attaches
 // it to trace spans and slow-query-log entries (see server/admin.h), so a
@@ -125,18 +130,24 @@ enum class CacheMode {
 /// parse error (they would bloat logs and slow-log entries).
 inline constexpr size_t kMaxRequestIdBytes = 128;
 
-/// \brief A decoded query request.
-struct QueryRequest {
+/// \brief The request fields every query kind (retrieval, trip) carries.
+/// One shared decoder and encoder handle them together with the query's
+/// locations, keywords, lambda and k.
+struct RequestCommon {
   int64_t id = 0;
   /// Optional client-chosen correlation string; the server generates one
   /// when empty and echoes it (either way) in the response.
   std::string request_id;
+  double deadline_ms = 0.0;  ///< 0 = use the server default
+  /// Wire field "cache": "default" (omitted) or "bypass".
+  CacheMode cache = CacheMode::kDefault;
+};
+
+/// \brief A decoded query request.
+struct QueryRequest : RequestCommon {
   UotsQuery query;
   AlgorithmKind algorithm = AlgorithmKind::kUots;
   bool has_algorithm = false;  ///< request named one explicitly
-  double deadline_ms = 0.0;    ///< 0 = use the server default
-  /// Wire field "cache": "default" (omitted) or "bypass".
-  CacheMode cache = CacheMode::kDefault;
 };
 
 std::string EncodeQueryRequest(const QueryRequest& req);
@@ -185,17 +196,27 @@ std::string EncodeIngestRequest(const IngestRequest& req);
 Result<IngestRequest> ParseIngestRequest(const JsonValue& o);
 Result<IngestRequest> ParseIngestRequest(std::string_view json);
 
+/// \brief The fields every response carries, whatever its kind.
+struct ResponseEnvelope {
+  int64_t id = 0;
+  /// Echo of the request's request_id (server-generated when the request
+  /// carried none). Set on every response the server sends, errors
+  /// included.
+  std::string request_id;
+  ResponseStatus status = ResponseStatus::kOk;
+  std::string error;
+
+  bool ok() const { return status == ResponseStatus::kOk; }
+  bool retryable() const { return IsRetryable(status); }
+};
+
 /// \brief The ingest reply.
 ///
 ///   {"id": 9, "request_id": "cli-7", "status": "ok", "accepted": 128,
 ///    "first_traj": 250128, "generation": 3, "delta_trajectories": 384}
 /// Batches are atomic: on any non-ok status, accepted == 0 and nothing was
 /// ingested ("error" names the first offending trajectory).
-struct IngestResponse {
-  int64_t id = 0;
-  std::string request_id;
-  ResponseStatus status = ResponseStatus::kOk;
-  std::string error;
+struct IngestResponse : ResponseEnvelope {
   int64_t accepted = 0;
   /// Global TrajId of the first trajectory in the batch (contiguous ids
   /// follow); -1 on failure.
@@ -204,34 +225,26 @@ struct IngestResponse {
   int64_t generation = 0;
   /// Total uncompacted delta trips after this batch.
   int64_t delta_trajectories = 0;
-
-  bool ok() const { return status == ResponseStatus::kOk; }
-  bool retryable() const { return IsRetryable(status); }
 };
 
 std::string EncodeIngestResponse(const IngestResponse& resp);
 Result<IngestResponse> ParseIngestResponse(std::string_view json);
 
-/// \brief A decoded (or to-be-encoded) query response.
-struct QueryResponse {
-  int64_t id = 0;
-  /// Echo of the request's request_id (server-generated when the request
-  /// carried none). Set on every response the server sends, errors
-  /// included.
-  std::string request_id;
-  ResponseStatus status = ResponseStatus::kOk;
-  std::string error;
-  std::vector<ScoredTrajectory> results;
+/// \brief The response fields every query kind carries besides its answer
+/// list; one shared decoder and encoder handle them.
+struct ResponseCommon : ResponseEnvelope {
   bool has_stats = false;
-  QueryStats stats;           ///< engine counters (subset survives decode)
+  QueryStats stats;           ///< engine counters (QueryStats::ToJson)
   /// True when the answer came from the server's result cache (the stats
   /// are then those of the run that populated the entry).
   bool cached = false;
   double queue_wait_ms = 0.0; ///< time between admission and worker pickup
   double execute_ms = 0.0;    ///< engine wall time on the worker
+};
 
-  bool ok() const { return status == ResponseStatus::kOk; }
-  bool retryable() const { return IsRetryable(status); }
+/// \brief A decoded (or to-be-encoded) query response.
+struct QueryResponse : ResponseCommon {
+  std::vector<ScoredTrajectory> results;
 };
 
 std::string EncodeQueryResponse(const QueryResponse& resp);
@@ -244,18 +257,14 @@ Result<QueryResponse> ParseQueryResponse(std::string_view json);
 ///   {"id": 3, "type": "trip", "request_id": "cli-9",
 ///    "locations": [12, 904, 77], "keywords": [3, 15],
 ///    "lambda": 0.5, "k": 3,
+///    "deadline_ms": 50, "cache": "bypass",  // as on query requests
 ///    "ordered": true,             // optional; visit locations in order
 ///    "categories": true,          // optional; category-hierarchy matching
 ///    "gap_budget_m": 1500.0,      // optional; 0/absent = unlimited
 ///    "segments_per_location": 8,  // optional harvest shape
-///    "window": 4,                 // optional harvest shape
-///    "deadline_ms": 50, "cache": "bypass"}  // as on query requests
-struct TripRequest {
-  int64_t id = 0;
-  std::string request_id;
+///    "window": 4}                 // optional harvest shape
+struct TripRequest : RequestCommon {
   TripQuery query;
-  double deadline_ms = 0.0;  ///< 0 = use the server default
-  CacheMode cache = CacheMode::kDefault;
 };
 
 std::string EncodeTripRequest(const TripRequest& req);
@@ -274,20 +283,8 @@ Result<TripRequest> ParseTripRequest(std::string_view json);
 ///    "stats": {...}, "server": {...}}
 /// All doubles round-trip exactly (JsonAppendDouble), so a client can
 /// compare trips bit-for-bit against an in-process TripPlanner.
-struct TripResponse {
-  int64_t id = 0;
-  std::string request_id;
-  ResponseStatus status = ResponseStatus::kOk;
-  std::string error;
+struct TripResponse : ResponseCommon {
   std::vector<AssembledTrip> trips;
-  bool has_stats = false;
-  QueryStats stats;
-  bool cached = false;
-  double queue_wait_ms = 0.0;
-  double execute_ms = 0.0;
-
-  bool ok() const { return status == ResponseStatus::kOk; }
-  bool retryable() const { return IsRetryable(status); }
 };
 
 std::string EncodeTripResponse(const TripResponse& resp);

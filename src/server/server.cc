@@ -45,46 +45,6 @@ int64_t HashRequestId(const std::string& s) {
   return static_cast<int64_t>(h & 0x7fffffffffffffffULL);
 }
 
-/// Canonical one-line query description for slow-log entries.
-std::string SummarizeQuery(const UotsQuery& q, AlgorithmKind kind) {
-  std::string out = "locs=";
-  out += std::to_string(q.locations.size());
-  out += " kw=";
-  out += std::to_string(q.keywords.size());
-  out += " lambda=";
-  char buf[32];
-  std::snprintf(buf, sizeof(buf), "%.3g", q.lambda);
-  out += buf;
-  out += " k=";
-  out += std::to_string(q.k);
-  out += " algo=";
-  out += ToString(kind);
-  return out;
-}
-
-/// Canonical one-line trip-query description for slow-log entries.
-std::string SummarizeTripQuery(const TripQuery& q) {
-  std::string out = "trip locs=";
-  out += std::to_string(q.locations.size());
-  out += " kw=";
-  out += std::to_string(q.keywords.size());
-  out += " lambda=";
-  char buf[32];
-  std::snprintf(buf, sizeof(buf), "%.3g", q.lambda);
-  out += buf;
-  out += " k=";
-  out += std::to_string(q.k);
-  out += " ordered=";
-  out += q.ordered ? '1' : '0';
-  out += " cat=";
-  out += q.use_categories ? '1' : '0';
-  if (q.gap_budget_m > 0.0) {
-    std::snprintf(buf, sizeof(buf), " gap=%.3g", q.gap_budget_m);
-    out += buf;
-  }
-  return out;
-}
-
 }  // namespace
 
 UotsServer::UotsServer(std::shared_ptr<const TrajectoryDatabase> db,
@@ -212,7 +172,7 @@ void UotsServer::RecordSlowLog(const RequestCtx& ctx, const char* status_name,
   if (admin_ == nullptr) return;
   SlowLogEntry e;
   e.request_id = ctx.request_id_str;
-  e.algorithm = ctx.is_trip ? "TRIP" : ToString(ctx.kind);
+  e.algorithm = ctx.algorithm;
   e.segments = segments;
   e.query_summary = ctx.query_summary;
   e.status = status_name;
@@ -302,13 +262,11 @@ void UotsServer::OnConnEvent(uint64_t conn_id, uint32_t events) {
           conn->decoder().Poll(&payload, &oversized);
       if (next == FrameDecoder::Next::kNeedMore) break;
       if (next == FrameDecoder::Next::kOversized) {
-        ++counters_.oversized_frames;
-        ++conn->stats().protocol_errors;
-        SendError(conn, 0, GenerateRequestId(conn_id),
-                  ResponseStatus::kParseError,
-                  "frame exceeds maximum size (" +
-                      std::to_string(oversized) + " > " +
-                      std::to_string(opts_.max_frame_bytes) + " bytes)");
+        RejectFrame(conn,
+                    "frame exceeds maximum size (" +
+                        std::to_string(oversized) + " > " +
+                        std::to_string(opts_.max_frame_bytes) + " bytes)",
+                    &ServerCounters::oversized_frames);
         continue;
       }
       ++conn->stats().frames_in;
@@ -336,48 +294,45 @@ void UotsServer::HandleFrame(Connection* conn, std::string_view payload) {
     return ParseJson(payload);
   }();
   if (!doc.ok() || !doc->is_object()) {
-    ++counters_.parse_errors;
-    ++conn->stats().protocol_errors;
-    SendError(conn, 0, GenerateRequestId(conn->id()),
-              ResponseStatus::kParseError,
-              doc.ok() ? "request must be an object"
-                       : doc.status().message());
+    RejectFrame(conn, doc.ok() ? "request must be an object"
+                               : doc.status().message());
     return;
   }
   switch (RequestTypeOf(*doc)) {
+    case RequestType::kQuery:
+      HandleRequest<RetrievalKind>(conn, *doc);
+      return;
+    case RequestType::kTrip:
+      HandleRequest<TripKind>(conn, *doc);
+      return;
     case RequestType::kIngest:
       HandleIngest(conn, *doc);
       return;
-    case RequestType::kTrip:
-      HandleTrip(conn, *doc);
-      return;
     case RequestType::kUnknown: {
-      ++counters_.parse_errors;
-      ++conn->stats().protocol_errors;
       const JsonValue* type = doc->Find("type");
-      SendError(conn, 0, GenerateRequestId(conn->id()),
-                ResponseStatus::kParseError,
-                "unknown request type: " +
-                    (type != nullptr && type->is_string()
-                         ? type->string_value()
-                         : std::string("(not a string)")));
+      RejectFrame(conn, "unknown request type: " +
+                            (type != nullptr && type->is_string()
+                                 ? type->string_value()
+                                 : std::string("(not a string)")));
       return;
     }
-    case RequestType::kQuery:
-      break;
   }
-  HandleQuery(conn, *doc);
+}
+
+void UotsServer::RejectFrame(Connection* conn, const std::string& error,
+                             int64_t ServerCounters::*counter) {
+  ++(counters_.*counter);
+  ++conn->stats().protocol_errors;
+  SendError(conn, 0, GenerateRequestId(conn->id()),
+            ResponseStatus::kParseError, error);
 }
 
 void UotsServer::HandleIngest(Connection* conn, const JsonValue& doc) {
   ++counters_.ingest_requests;
   Result<IngestRequest> parsed = ParseIngestRequest(doc);
   if (!parsed.ok()) {
-    ++counters_.parse_errors;
     ++counters_.ingest_rejected_batches;
-    ++conn->stats().protocol_errors;
-    SendError(conn, 0, GenerateRequestId(conn->id()),
-              ResponseStatus::kParseError, parsed.status().message());
+    RejectFrame(conn, parsed.status().message());
     return;
   }
   IngestRequest req = std::move(*parsed);
@@ -392,7 +347,7 @@ void UotsServer::HandleIngest(Connection* conn, const JsonValue& doc) {
     ++counters_.ingest_rejected_batches;
     resp.status = ResponseStatus::kShuttingDown;
     resp.error = "server is shutting down";
-    SendIngestResponse(conn, resp);
+    Send<&EncodeIngestResponse>(conn, resp);
     return;
   }
 
@@ -406,7 +361,7 @@ void UotsServer::HandleIngest(Connection* conn, const JsonValue& doc) {
     ++counters_.ingest_rejected_batches;
     resp.status = FromStatus(applied.status());
     resp.error = applied.status().message();
-    SendIngestResponse(conn, resp);
+    Send<&EncodeIngestResponse>(conn, resp);
     return;
   }
   counters_.ingest_accepted_trips += static_cast<int64_t>(applied->accepted);
@@ -424,37 +379,20 @@ void UotsServer::HandleIngest(Connection* conn, const JsonValue& doc) {
   resp.generation = static_cast<int64_t>(applied->generation);
   resp.delta_trajectories =
       static_cast<int64_t>(ingestor_.delta_trajectories());
-  SendIngestResponse(conn, resp);
+  Send<&EncodeIngestResponse>(conn, resp);
   MetricsRegistry::Global().Record("server.ingest.apply",
                                    EventLoop::NowNs() - apply_start_ns);
 }
 
-void UotsServer::SendIngestResponse(Connection* conn,
-                                    const IngestResponse& resp) {
-  std::string body;
-  {
-    UOTS_TRACE_SCOPE("server_serialize");
-    body = EncodeIngestResponse(resp);
-  }
-  conn->QueueFrame(body);
-  if (conn->Flush() == Connection::IoResult::kClosed) {
-    CloseConnection(conn->id());
-    return;
-  }
-  UpdateWriteInterest(conn);
-}
-
-void UotsServer::HandleQuery(Connection* conn, const JsonValue& doc) {
-  Result<QueryRequest> parsed = ParseQueryRequest(doc);
+template <class Kind>
+void UotsServer::HandleRequest(Connection* conn, const JsonValue& doc) {
+  Result<typename Kind::Request> parsed = Kind::Parse(doc);
   if (!parsed.ok()) {
-    ++counters_.parse_errors;
-    ++conn->stats().protocol_errors;
-    SendError(conn, 0, GenerateRequestId(conn->id()),
-              ResponseStatus::kParseError, parsed.status().message());
+    RejectFrame(conn, parsed.status().message());
     return;
   }
-  QueryRequest req = std::move(*parsed);
-  ++counters_.requests;
+  typename Kind::Request req = std::move(*parsed);
+  ++Kind::Counter(counters_);
   const int64_t arrival_ns = EventLoop::NowNs();
   if (req.request_id.empty()) {
     req.request_id = GenerateRequestId(conn->id());
@@ -467,38 +405,36 @@ void UotsServer::HandleQuery(Connection* conn, const JsonValue& doc) {
     return;
   }
 
-  const AlgorithmKind kind =
-      req.has_algorithm ? req.algorithm : AlgorithmKind::kUots;
+  const typename Kind::EngineKey key = Kind::KeyOf(req);
 
   // Result-cache probe, on the reactor thread: a hit answers immediately
   // without touching admission or the thread pool. On a miss the canonical
   // key rides along so the worker populates the cache.
   std::string cache_key;
   if (req.cache != CacheMode::kBypass) {
-    if (auto hit = service_->CacheLookup(req.query, kind, &cache_key)) {
+    if (auto hit = service_->Lookup<Kind>(req.query, key, &cache_key)) {
       ++counters_.cache_hits;
       ++counters_.responses_ok;
-      QueryResponse resp;
+      typename Kind::Response resp;
       resp.id = req.id;
       resp.request_id = req.request_id;
-      resp.status = ResponseStatus::kOk;
-      resp.results = hit->items;
+      resp.*Kind::kResponseList = (*hit).*Kind::kCachedList;
       resp.has_stats = true;
       resp.stats = hit->stats;
       resp.cached = true;
-      SendResponse(conn, resp);
+      Send<&Kind::Encode>(conn, resp);
       const int64_t done_ns = EventLoop::NowNs();
       MetricsRegistry::Global().Record("server.request_latency",
                                        done_ns - arrival_ns);
       if (admin_ != nullptr) {
         RequestCtx ctx;
         ctx.request_id_str = std::move(req.request_id);
-        ctx.kind = kind;
-        ctx.query_summary = SummarizeQuery(req.query, kind);
+        ctx.algorithm = Kind::AlgorithmName(key);
+        ctx.query_summary = Kind::Summarize(req.query, key);
         RecordSlowLog(ctx, ToString(ResponseStatus::kOk), /*cached=*/true,
                       static_cast<double>(done_ns - arrival_ns) / 1e6,
                       /*queue_wait_ms=*/0.0, /*execute_ms=*/0.0,
-                      &hit->stats, {});
+                      &hit->stats, {}, Kind::Segments(resp));
       }
       return;
     }
@@ -508,9 +444,9 @@ void UotsServer::HandleQuery(Connection* conn, const JsonValue& doc) {
   ctx->conn_id = conn->id();
   ctx->request_id = req.id;
   ctx->request_id_str = req.request_id;
-  ctx->kind = kind;
+  ctx->algorithm = Kind::AlgorithmName(key);
   if (admin_ != nullptr) {
-    ctx->query_summary = SummarizeQuery(req.query, kind);
+    ctx->query_summary = Kind::Summarize(req.query, key);
   }
   ctx->arrival_ns = arrival_ns;
   ctx->deadline_ms = req.deadline_ms > 0.0
@@ -532,131 +468,12 @@ void UotsServer::HandleQuery(Connection* conn, const JsonValue& doc) {
     }
   }
 
-  const bool admitted = service_->TryExecute(
-      req.query, kind, &ctx->token,
-      [this, ctx](ExecutionResult r) {
+  const bool admitted = service_->Execute<Kind>(
+      req.query, key, &ctx->token,
+      [this, ctx](ExecutionResultOf<Kind> r) {
         // Worker thread: hop back to the loop that owns the connection.
         loop_.Post([this, ctx, r = std::move(r)]() mutable {
-          OnComplete(ctx, std::move(r));
-        });
-      },
-      std::move(cache_key), exec_opts);
-  if (!admitted) {
-    if (service_->shutting_down()) {
-      ++counters_.rejected_shutting_down;
-      SendError(conn, req.id, ctx->request_id_str,
-                ResponseStatus::kShuttingDown, "server is shutting down");
-    } else {
-      ++counters_.rejected_overloaded;
-      SendError(conn, req.id, ctx->request_id_str,
-                ResponseStatus::kOverloaded,
-                "server at capacity (" +
-                    std::to_string(opts_.service.max_inflight) +
-                    " requests in flight)");
-    }
-    return;
-  }
-
-  ++conn->inflight;
-  ++loop_inflight_;
-  if (ctx->deadline_ms > 0.0) {
-    ctx->deadline_timer =
-        loop_.AddTimerAfterMs(ctx->deadline_ms, [this, ctx] {
-          OnDeadline(ctx);
-        });
-  }
-}
-
-void UotsServer::HandleTrip(Connection* conn, const JsonValue& doc) {
-  Result<TripRequest> parsed = ParseTripRequest(doc);
-  if (!parsed.ok()) {
-    ++counters_.parse_errors;
-    ++conn->stats().protocol_errors;
-    SendError(conn, 0, GenerateRequestId(conn->id()),
-              ResponseStatus::kParseError, parsed.status().message());
-    return;
-  }
-  TripRequest req = std::move(*parsed);
-  ++counters_.trip_requests;
-  const int64_t arrival_ns = EventLoop::NowNs();
-  if (req.request_id.empty()) {
-    req.request_id = GenerateRequestId(conn->id());
-  }
-
-  if (draining_) {
-    ++counters_.rejected_shutting_down;
-    SendError(conn, req.id, req.request_id, ResponseStatus::kShuttingDown,
-              "server is shutting down");
-    return;
-  }
-
-  // Same reactor-side cache probe as retrieval queries; the trip key
-  // schema keeps the two families disjoint.
-  std::string cache_key;
-  if (req.cache != CacheMode::kBypass) {
-    if (auto hit = service_->TripCacheLookup(req.query, &cache_key)) {
-      ++counters_.cache_hits;
-      ++counters_.responses_ok;
-      TripResponse resp;
-      resp.id = req.id;
-      resp.request_id = req.request_id;
-      resp.status = ResponseStatus::kOk;
-      resp.trips = hit->trips;
-      resp.has_stats = true;
-      resp.stats = hit->stats;
-      resp.cached = true;
-      SendTripResponse(conn, resp);
-      const int64_t done_ns = EventLoop::NowNs();
-      MetricsRegistry::Global().Record("server.request_latency",
-                                       done_ns - arrival_ns);
-      if (admin_ != nullptr) {
-        RequestCtx ctx;
-        ctx.request_id_str = std::move(req.request_id);
-        ctx.is_trip = true;
-        ctx.query_summary = SummarizeTripQuery(req.query);
-        const int segments =
-            hit->trips.empty() ? 0
-                               : static_cast<int>(hit->trips[0].segments.size());
-        RecordSlowLog(ctx, ToString(ResponseStatus::kOk), /*cached=*/true,
-                      static_cast<double>(done_ns - arrival_ns) / 1e6,
-                      /*queue_wait_ms=*/0.0, /*execute_ms=*/0.0,
-                      &hit->stats, {}, segments);
-      }
-      return;
-    }
-  }
-
-  auto ctx = std::make_shared<RequestCtx>();
-  ctx->conn_id = conn->id();
-  ctx->request_id = req.id;
-  ctx->request_id_str = req.request_id;
-  ctx->is_trip = true;
-  if (admin_ != nullptr) {
-    ctx->query_summary = SummarizeTripQuery(req.query);
-  }
-  ctx->arrival_ns = arrival_ns;
-  ctx->deadline_ms = req.deadline_ms > 0.0
-                         ? req.deadline_ms
-                         : opts_.service.default_deadline_ms;
-  if (ctx->deadline_ms > 0.0) {
-    ctx->token.SetDeadlineAfterMs(ctx->deadline_ms);
-  }
-
-  ExecuteOptions exec_opts;
-  exec_opts.span_id = HashRequestId(ctx->request_id_str);
-  if (admin_ != nullptr) {
-    const int every = admin_->trace_sample_every();
-    if (every > 0 && (++trace_sample_counter_ % static_cast<uint64_t>(
-                          every)) == 0) {
-      exec_opts.capture_spans = true;
-    }
-  }
-
-  const bool admitted = service_->TryExecuteTrip(
-      req.query, &ctx->token,
-      [this, ctx](TripExecutionResult r) {
-        loop_.Post([this, ctx, r = std::move(r)]() mutable {
-          OnTripComplete(ctx, std::move(r));
+          OnComplete<Kind>(ctx, std::move(r));
         });
       },
       std::move(cache_key), exec_opts);
@@ -826,8 +643,9 @@ void UotsServer::OnDeadline(const std::shared_ptr<RequestCtx>& ctx) {
   // finishes — the capacity it occupies is real until then.
 }
 
+template <class Kind>
 void UotsServer::OnComplete(const std::shared_ptr<RequestCtx>& ctx,
-                            ExecutionResult r) {
+                            ExecutionResultOf<Kind> r) {
   // Runs on the loop thread (posted). The request's admission slot is
   // already released by the service; release the loop-side accounting.
   --loop_inflight_;
@@ -846,19 +664,22 @@ void UotsServer::OnComplete(const std::shared_ptr<RequestCtx>& ctx,
 
   const ResponseStatus ws =
       r.status.ok() ? ResponseStatus::kOk : FromStatus(r.status);
+  typename Kind::Response resp;
+  int segments = -1;
+  if (r.status.ok()) {
+    resp.id = ctx->request_id;
+    resp.request_id = ctx->request_id_str;
+    resp.*Kind::kResponseList = std::move(r.result.*Kind::kAnswerList);
+    resp.has_stats = true;
+    resp.stats = r.result.stats;
+    resp.queue_wait_ms = r.queue_wait_ms;
+    resp.execute_ms = r.execute_ms;
+    segments = Kind::Segments(resp);
+  }
   if (conn != nullptr && !already_responded) {
     if (r.status.ok()) {
-      QueryResponse resp;
-      resp.id = ctx->request_id;
-      resp.request_id = ctx->request_id_str;
-      resp.status = ResponseStatus::kOk;
-      resp.results = std::move(r.result.items);
-      resp.has_stats = true;
-      resp.stats = r.result.stats;
-      resp.queue_wait_ms = r.queue_wait_ms;
-      resp.execute_ms = r.execute_ms;
       ++counters_.responses_ok;
-      SendResponse(conn, resp);
+      Send<&Kind::Encode>(conn, resp);
     } else {
       if (ws == ResponseStatus::kDeadlineExceeded) {
         ++counters_.deadline_exceeded;
@@ -870,6 +691,8 @@ void UotsServer::OnComplete(const std::shared_ptr<RequestCtx>& ctx,
     }
     MetricsRegistry::Global().Record(
         "server.request_latency", EventLoop::NowNs() - ctx->arrival_ns);
+    // A failed write closes the connection; look it up again.
+    conn = FindConn(ctx->conn_id);
   }
   // The execution happened regardless of whether anyone was left to read
   // the answer — log it (status reflects what the client saw when the
@@ -881,8 +704,8 @@ void UotsServer::OnComplete(const std::shared_ptr<RequestCtx>& ctx,
                 static_cast<double>(EventLoop::NowNs() - ctx->arrival_ns) /
                     1e6,
                 r.queue_wait_ms, r.execute_ms,
-                r.status.ok() ? &r.result.stats : nullptr,
-                std::move(r.spans));
+                r.status.ok() ? &resp.stats : nullptr, std::move(r.spans),
+                segments);
 
   if (conn != nullptr && conn->close_after_flush && conn->inflight == 0 &&
       !conn->want_write()) {
@@ -891,92 +714,12 @@ void UotsServer::OnComplete(const std::shared_ptr<RequestCtx>& ctx,
   MaybeFinishShutdown();
 }
 
-void UotsServer::OnTripComplete(const std::shared_ptr<RequestCtx>& ctx,
-                                TripExecutionResult r) {
-  // Mirror of OnComplete for trip-assembly requests (loop thread).
-  --loop_inflight_;
-
-  Connection* conn = FindConn(ctx->conn_id);
-  if (conn != nullptr) {
-    --conn->inflight;
-  }
-
-  const bool already_responded = ctx->responded;
-  ctx->responded = true;
-  if (ctx->deadline_timer != TimerHeap::kInvalidTimer) {
-    loop_.CancelTimer(ctx->deadline_timer);
-    ctx->deadline_timer = TimerHeap::kInvalidTimer;
-  }
-
-  const ResponseStatus ws =
-      r.status.ok() ? ResponseStatus::kOk : FromStatus(r.status);
-  int segments = -1;
-  if (r.status.ok()) {
-    segments = r.result.trips.empty()
-                   ? 0
-                   : static_cast<int>(r.result.trips[0].segments.size());
-  }
-  if (conn != nullptr && !already_responded) {
-    if (r.status.ok()) {
-      TripResponse resp;
-      resp.id = ctx->request_id;
-      resp.request_id = ctx->request_id_str;
-      resp.status = ResponseStatus::kOk;
-      resp.trips = std::move(r.result.trips);
-      resp.has_stats = true;
-      resp.stats = r.result.stats;
-      resp.queue_wait_ms = r.queue_wait_ms;
-      resp.execute_ms = r.execute_ms;
-      ++counters_.responses_ok;
-      SendTripResponse(conn, resp);
-    } else {
-      if (ws == ResponseStatus::kDeadlineExceeded) {
-        ++counters_.deadline_exceeded;
-      } else {
-        ++counters_.errors_internal;
-      }
-      SendError(conn, ctx->request_id, ctx->request_id_str, ws,
-                r.status.message());
-    }
-    MetricsRegistry::Global().Record(
-        "server.request_latency", EventLoop::NowNs() - ctx->arrival_ns);
-  }
-  const char* logged_status =
-      already_responded ? ToString(ResponseStatus::kDeadlineExceeded)
-                        : ToString(ws);
-  RecordSlowLog(*ctx, logged_status, /*cached=*/false,
-                static_cast<double>(EventLoop::NowNs() - ctx->arrival_ns) /
-                    1e6,
-                r.queue_wait_ms, r.execute_ms,
-                r.status.ok() ? &r.result.stats : nullptr,
-                std::move(r.spans), segments);
-
-  if (conn != nullptr && conn->close_after_flush && conn->inflight == 0 &&
-      !conn->want_write()) {
-    CloseConnection(ctx->conn_id);
-  }
-  MaybeFinishShutdown();
-}
-
-void UotsServer::SendTripResponse(Connection* conn, const TripResponse& resp) {
+template <auto kEncode, class Response>
+void UotsServer::Send(Connection* conn, const Response& resp) {
   std::string body;
   {
     UOTS_TRACE_SCOPE("server_serialize");
-    body = EncodeTripResponse(resp);
-  }
-  conn->QueueFrame(body);
-  if (conn->Flush() == Connection::IoResult::kClosed) {
-    CloseConnection(conn->id());
-    return;
-  }
-  UpdateWriteInterest(conn);
-}
-
-void UotsServer::SendResponse(Connection* conn, const QueryResponse& resp) {
-  std::string body;
-  {
-    UOTS_TRACE_SCOPE("server_serialize");
-    body = EncodeQueryResponse(resp);
+    body = kEncode(resp);
   }
   conn->QueueFrame(body);
   if (conn->Flush() == Connection::IoResult::kClosed) {
@@ -994,7 +737,7 @@ void UotsServer::SendError(Connection* conn, int64_t request_id,
   resp.request_id = request_id_str;
   resp.status = status;
   resp.error = error;
-  SendResponse(conn, resp);
+  Send<&EncodeQueryResponse>(conn, resp);
 }
 
 void UotsServer::UpdateWriteInterest(Connection* conn) {

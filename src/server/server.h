@@ -2,7 +2,8 @@
 //
 // One reactor thread (EventLoop) owns the listener, every Connection, and
 // all timers; the UotsService executes queries on its thread pool and
-// posts completions back. Request lifecycle:
+// posts completions back. One request lifecycle serves every query kind
+// (retrieval and trip; the per-kind parts live in request_kind.h):
 //
 //   read -> parse -> admit -> queue -> execute -> serialize -> write
 //             |        |                  |
@@ -178,8 +179,7 @@ class UotsServer {
     uint64_t conn_id = 0;
     int64_t request_id = 0;       ///< wire "id" (numeric correlation)
     std::string request_id_str;   ///< "request_id" (observability key)
-    AlgorithmKind kind = AlgorithmKind::kUots;
-    bool is_trip = false;         ///< trip-assembly request (kind unused)
+    const char* algorithm = "";   ///< slow-log column (Kind::AlgorithmName)
     std::string query_summary;    ///< only filled when the admin plane is on
     int64_t arrival_ns = 0;
     double deadline_ms = 0.0;
@@ -199,10 +199,17 @@ class UotsServer {
   void OnAcceptReady();
   void OnConnEvent(uint64_t conn_id, uint32_t events);
   void HandleFrame(Connection* conn, std::string_view payload);
-  void HandleQuery(Connection* conn, const JsonValue& doc);
-  void HandleTrip(Connection* conn, const JsonValue& doc);
+  /// The one request lifecycle of every query kind (request_kind.h): parse,
+  /// request id, drain check, cache probe and hit reply, deadline timer,
+  /// admission (overload / shutting-down replies) and the completion hop.
+  template <class Kind>
+  void HandleRequest(Connection* conn, const JsonValue& doc);
   void HandleIngest(Connection* conn, const JsonValue& doc);
-  void SendIngestResponse(Connection* conn, const IngestResponse& resp);
+  /// Answers a frame that named no valid request with "parse_error" and
+  /// counts it under `counter`.
+  void RejectFrame(Connection* conn, const std::string& error,
+                   int64_t ServerCounters::*counter =
+                       &ServerCounters::parse_errors);
   /// Background-thread body of one compaction (never touches loop state).
   void RunCompaction(std::shared_ptr<const TrajectoryDatabase> base,
                      std::vector<Trajectory> sealed_trips);
@@ -221,13 +228,17 @@ class UotsServer {
   /// via the metrics timer's published values).
   void PublishIngestMetrics() const;
   void OnDeadline(const std::shared_ptr<RequestCtx>& ctx);
-  void OnComplete(const std::shared_ptr<RequestCtx>& ctx, ExecutionResult r);
-  void OnTripComplete(const std::shared_ptr<RequestCtx>& ctx,
-                      TripExecutionResult r);
+  /// Loop-thread completion of an executed request: reply (unless the
+  /// deadline already did), latency, slow log, drain bookkeeping.
+  template <class Kind>
+  void OnComplete(const std::shared_ptr<RequestCtx>& ctx,
+                  ExecutionResultOf<Kind> r);
 
   Connection* FindConn(uint64_t conn_id);
-  void SendResponse(Connection* conn, const QueryResponse& resp);
-  void SendTripResponse(Connection* conn, const TripResponse& resp);
+  /// Encodes `resp` with `kEncode` and queues it on `conn` (every response
+  /// kind; the encoder is bound at compile time).
+  template <auto kEncode, class Response>
+  void Send(Connection* conn, const Response& resp);
   void SendError(Connection* conn, int64_t request_id,
                  const std::string& request_id_str, ResponseStatus status,
                  const std::string& error);
@@ -241,8 +252,7 @@ class UotsServer {
   /// Fresh server-generated request id ("s<conn>-<seq>").
   std::string GenerateRequestId(uint64_t conn_id);
   /// Appends one completed request to the slow-query log (admin on only).
-  /// `segments` is the best assembled trip's segment count for trip
-  /// requests (-1 for retrieval queries, where it is meaningless).
+  /// `segments` is Kind::Segments of the answer (-1 where meaningless).
   void RecordSlowLog(const RequestCtx& ctx, const char* status_name,
                      bool cached, double total_ms, double queue_wait_ms,
                      double execute_ms, const QueryStats* stats,

@@ -3,7 +3,6 @@
 #include <thread>
 #include <utility>
 
-#include "cache/query_key.h"
 #include "util/metrics.h"
 #include "util/timer.h"
 #include "util/trace.h"
@@ -63,29 +62,30 @@ void UotsService::SwapDatabase(std::shared_ptr<const TrajectoryDatabase> db) {
   // Executing engines are safe — their admission snapshot pins the old
   // database until release, where the version tag discards them.
   std::lock_guard<std::mutex> lock(engines_mu_);
-  free_engines_.clear();
-  free_trip_planners_.clear();
+  std::apply([](auto&... p) { (p.idle.clear(), ...); }, pools_);
 }
 
-std::unique_ptr<SearchAlgorithm> UotsService::AcquireEngine(
-    AlgorithmKind kind, const DbSnapshot& snap) {
+template <class Kind>
+std::unique_ptr<typename Kind::Engine> UotsService::AcquireEngine(
+    typename Kind::EngineKey key, const DbSnapshot& snap) {
   {
     std::lock_guard<std::mutex> lock(engines_mu_);
-    for (size_t i = 0; i < free_engines_.size(); ++i) {
-      if (free_engines_[i].kind == kind &&
-          free_engines_[i].db_version == snap.version) {
-        auto engine = std::move(free_engines_[i].engine);
-        free_engines_.erase(free_engines_.begin() +
-                            static_cast<ptrdiff_t>(i));
+    auto& idle = pool<Kind>().idle;
+    for (size_t i = 0; i < idle.size(); ++i) {
+      if (idle[i].key == key && idle[i].db_version == snap.version) {
+        auto engine = std::move(idle[i].engine);
+        idle.erase(idle.begin() + static_cast<ptrdiff_t>(i));
         return engine;
       }
     }
   }
-  return CreateAlgorithm(*snap.db, kind, opts_.uots);
+  return Kind::MakeEngine(*snap.db, key, opts_.uots);
 }
 
-void UotsService::ReleaseEngine(AlgorithmKind kind, uint64_t db_version,
-                                std::unique_ptr<SearchAlgorithm> engine) {
+template <class Kind>
+void UotsService::ReleaseEngine(typename Kind::EngineKey key,
+                                uint64_t db_version,
+                                std::unique_ptr<typename Kind::Engine> engine) {
   engine->set_cancel(nullptr);  // never let a dead request's token linger
   std::lock_guard<std::mutex> lock(engines_mu_);
   // A swap may have happened while this engine executed; it references the
@@ -94,69 +94,24 @@ void UotsService::ReleaseEngine(AlgorithmKind kind, uint64_t db_version,
   // so a push racing the clear either sees the new version and drops, or
   // lands before the clear and is flushed by it.)
   if (db_version != db_version_.load(std::memory_order_acquire)) return;
-  // Cap the pool at one idle engine per worker and per kind: at most
-  // `threads` requests of a kind run concurrently, so extras could only
+  // Cap the pool at one idle engine per worker and per key: at most
+  // `threads` requests of a key run concurrently, so extras could only
   // accumulate (e.g. after a burst that mixed algorithms) and pin scratch
   // memory forever. Beyond the cap the engine is simply destroyed.
-  size_t same_kind = 0;
-  for (const PooledEngine& p : free_engines_) {
-    if (p.kind == kind) ++same_kind;
-  }
-  if (same_kind >= static_cast<size_t>(opts_.threads)) return;
-  free_engines_.push_back(PooledEngine{kind, db_version, std::move(engine)});
+  if (pool<Kind>().Count(&key) >= static_cast<size_t>(opts_.threads)) return;
+  pool<Kind>().idle.push_back({key, db_version, std::move(engine)});
 }
 
-std::unique_ptr<TripPlanner> UotsService::AcquireTripPlanner(
-    const DbSnapshot& snap) {
-  {
-    std::lock_guard<std::mutex> lock(engines_mu_);
-    for (size_t i = 0; i < free_trip_planners_.size(); ++i) {
-      if (free_trip_planners_[i].db_version == snap.version) {
-        auto planner = std::move(free_trip_planners_[i].planner);
-        free_trip_planners_.erase(free_trip_planners_.begin() +
-                                  static_cast<ptrdiff_t>(i));
-        return planner;
-      }
-    }
-  }
-  return std::make_unique<TripPlanner>(*snap.db);
-}
-
-void UotsService::ReleaseTripPlanner(uint64_t db_version,
-                                     std::unique_ptr<TripPlanner> planner) {
-  planner->set_cancel(nullptr);
+template <class Kind>
+size_t UotsService::Pooled(const typename Kind::EngineKey* key) const {
   std::lock_guard<std::mutex> lock(engines_mu_);
-  // Same swap-race reasoning as ReleaseEngine: a stale-version planner
-  // references the retired database and must not rejoin the pool.
-  if (db_version != db_version_.load(std::memory_order_acquire)) return;
-  if (free_trip_planners_.size() >= static_cast<size_t>(opts_.threads)) {
-    return;
-  }
-  free_trip_planners_.push_back(
-      PooledTripPlanner{db_version, std::move(planner)});
+  return pool<Kind>().Count(key);
 }
 
-size_t UotsService::pooled_trip_planners() const {
-  std::lock_guard<std::mutex> lock(engines_mu_);
-  return free_trip_planners_.size();
-}
-
-size_t UotsService::pooled_engines(AlgorithmKind kind) const {
-  std::lock_guard<std::mutex> lock(engines_mu_);
-  size_t n = 0;
-  for (const PooledEngine& p : free_engines_) {
-    if (p.kind == kind) ++n;
-  }
-  return n;
-}
-
-size_t UotsService::pooled_engines() const {
-  std::lock_guard<std::mutex> lock(engines_mu_);
-  return free_engines_.size();
-}
-
-std::shared_ptr<const CachedResult> UotsService::CacheLookup(
-    const UotsQuery& query, AlgorithmKind kind, std::string* key_out) {
+template <class Kind>
+std::shared_ptr<const CachedResult> UotsService::Lookup(
+    const typename Kind::Query& query, typename Kind::EngineKey key,
+    std::string* key_out) {
   if (result_cache_ == nullptr) {
     key_out->clear();
     return nullptr;
@@ -165,25 +120,9 @@ std::shared_ptr<const CachedResult> UotsService::CacheLookup(
   // Salt with the *live* fingerprint (base identity mixed with the delta
   // generation): every applied ingest batch moves the salt, so a key
   // minted before an ingest can never hit an entry stored after it, nor
-  // vice versa. This replaces the construction-time salt that kept
-  // serving pre-ingest answers after the dataset changed.
+  // vice versa.
   const uint64_t salt = db()->live_fingerprint();
-  *key_out = EncodeResultCacheKey(query, kind, opts_.uots, salt);
-  auto hit = result_cache_->Lookup(*key_out);
-  MetricsRegistry::Global().Record(
-      "server.cache.lookup", static_cast<int64_t>(timer.ElapsedMillis() * 1e6));
-  return hit;
-}
-
-std::shared_ptr<const CachedResult> UotsService::TripCacheLookup(
-    const TripQuery& query, std::string* key_out) {
-  if (result_cache_ == nullptr) {
-    key_out->clear();
-    return nullptr;
-  }
-  WallTimer timer;
-  const uint64_t salt = db()->live_fingerprint();
-  *key_out = EncodeTripCacheKey(query, salt);
+  *key_out = Kind::CacheKey(query, key, opts_.uots, salt);
   auto hit = result_cache_->Lookup(*key_out);
   MetricsRegistry::Global().Record(
       "server.cache.lookup", static_cast<int64_t>(timer.ElapsedMillis() * 1e6));
@@ -204,11 +143,13 @@ void UotsService::PublishCacheMetrics() const {
   reg.SetCounter("server.cache.bytes", s.bytes);
 }
 
-bool UotsService::TryExecute(const UotsQuery& query, AlgorithmKind kind,
-                             const CancelToken* cancel,
-                             std::function<void(ExecutionResult)> done,
-                             std::string cache_key,
-                             const ExecuteOptions& exec_opts) {
+template <class Kind>
+bool UotsService::Execute(const typename Kind::Query& query,
+                          typename Kind::EngineKey key,
+                          const CancelToken* cancel,
+                          std::function<void(ExecutionResultOf<Kind>)> done,
+                          std::string cache_key,
+                          const ExecuteOptions& exec_opts) {
   if (shutting_down_.load(std::memory_order_relaxed)) return false;
   // Reserve an admission slot; undo on any rejection path.
   const size_t prev = inflight_.fetch_add(1, std::memory_order_acq_rel);
@@ -220,10 +161,10 @@ bool UotsService::TryExecute(const UotsQuery& query, AlgorithmKind kind,
   // Pin the database build this request will run against: a compaction
   // swap mid-flight retires the old base only once this snapshot drops.
   DbSnapshot snap = SnapshotDb();
-  auto task = [this, query, kind, cancel, done = std::move(done),
+  auto task = [this, query, key, cancel, done = std::move(done),
                cache_key = std::move(cache_key), admitted_ns,
                snap = std::move(snap), exec_opts]() mutable {
-    ExecutionResult out;
+    ExecutionResultOf<Kind> out;
     out.queue_wait_ms =
         static_cast<double>(CancelToken::NowNs() - admitted_ns) / 1e6;
     WallTimer exec_timer;
@@ -231,15 +172,15 @@ bool UotsService::TryExecute(const UotsQuery& query, AlgorithmKind kind,
     {
       // Span opened after the capture begins and closed before it ends, so
       // a sampled request's tree always contains its own root.
-      UOTS_TRACE_SCOPE_ID("server_execute", exec_opts.span_id);
+      UOTS_TRACE_SCOPE_ID(Kind::kSpanName, exec_opts.span_id);
       if (cancel != nullptr && cancel->ShouldAbort()) {
         // Deadline passed while queued: skip the engine entirely.
         out.status = Status::DeadlineExceeded("deadline exceeded in queue");
       } else {
-        auto engine = AcquireEngine(kind, snap);
+        auto engine = AcquireEngine<Kind>(key, snap);
         engine->set_cancel(cancel);
-        Result<SearchResult> r = engine->Search(query);
-        ReleaseEngine(kind, snap.version, std::move(engine));
+        Result<typename Kind::Answer> r = Kind::Run(*engine, query);
+        ReleaseEngine<Kind>(key, snap.version, std::move(engine));
         if (r.ok()) {
           out.result = std::move(*r);
           oracle_lookups_total_.fetch_add(out.result.stats.oracle_lookups,
@@ -249,7 +190,7 @@ bool UotsService::TryExecute(const UotsQuery& query, AlgorithmKind kind,
               std::memory_order_relaxed);
           if (result_cache_ != nullptr && !cache_key.empty()) {
             auto cached = std::make_shared<CachedResult>();
-            cached->items = out.result.items;
+            (*cached).*Kind::kCachedList = out.result.*Kind::kAnswerList;
             cached->stats = out.result.stats;
             result_cache_->Insert(cache_key, std::move(cached));
           }
@@ -260,10 +201,11 @@ bool UotsService::TryExecute(const UotsQuery& query, AlgorithmKind kind,
     }
     if (exec_opts.capture_spans) out.spans = Trace::EndThreadCapture();
     out.execute_ms = exec_timer.ElapsedMillis();
-    MetricsRegistry::Global().Record(
-        "server.queue_wait", static_cast<int64_t>(out.queue_wait_ms * 1e6));
-    MetricsRegistry::Global().Record(
-        "server.execute", static_cast<int64_t>(out.execute_ms * 1e6));
+    auto& reg = MetricsRegistry::Global();
+    reg.Record("server.queue_wait",
+               static_cast<int64_t>(out.queue_wait_ms * 1e6));
+    reg.Record("server.execute", static_cast<int64_t>(out.execute_ms * 1e6));
+    Kind::RecordMetrics(out.status, out.result, out.execute_ms);
     done(std::move(out));
     // Publish completion last so Drain() cannot return while `done` runs.
     if (inflight_.fetch_sub(1, std::memory_order_acq_rel) == 1) {
@@ -281,75 +223,19 @@ bool UotsService::TryExecute(const UotsQuery& query, AlgorithmKind kind,
   return true;
 }
 
-bool UotsService::TryExecuteTrip(const TripQuery& query,
-                                 const CancelToken* cancel,
-                                 std::function<void(TripExecutionResult)> done,
-                                 std::string cache_key,
-                                 const ExecuteOptions& exec_opts) {
-  if (shutting_down_.load(std::memory_order_relaxed)) return false;
-  const size_t prev = inflight_.fetch_add(1, std::memory_order_acq_rel);
-  if (prev >= opts_.max_inflight) {
-    inflight_.fetch_sub(1, std::memory_order_acq_rel);
-    return false;
-  }
-  const int64_t admitted_ns = CancelToken::NowNs();
-  DbSnapshot snap = SnapshotDb();
-  auto task = [this, query, cancel, done = std::move(done),
-               cache_key = std::move(cache_key), admitted_ns,
-               snap = std::move(snap), exec_opts]() mutable {
-    TripExecutionResult out;
-    out.queue_wait_ms =
-        static_cast<double>(CancelToken::NowNs() - admitted_ns) / 1e6;
-    WallTimer exec_timer;
-    if (exec_opts.capture_spans) Trace::BeginThreadCapture();
-    {
-      UOTS_TRACE_SCOPE_ID("trip_execute", exec_opts.span_id);
-      if (cancel != nullptr && cancel->ShouldAbort()) {
-        out.status = Status::DeadlineExceeded("deadline exceeded in queue");
-      } else {
-        auto planner = AcquireTripPlanner(snap);
-        planner->set_cancel(cancel);
-        Result<TripResult> r = planner->Plan(query);
-        ReleaseTripPlanner(snap.version, std::move(planner));
-        if (r.ok()) {
-          out.result = std::move(*r);
-          oracle_lookups_total_.fetch_add(out.result.stats.oracle_lookups,
-                                          std::memory_order_relaxed);
-          if (result_cache_ != nullptr && !cache_key.empty()) {
-            auto cached = std::make_shared<CachedResult>();
-            cached->trips = out.result.trips;
-            cached->stats = out.result.stats;
-            result_cache_->Insert(cache_key, std::move(cached));
-          }
-        } else {
-          out.status = r.status();
-        }
-      }
-    }
-    if (exec_opts.capture_spans) out.spans = Trace::EndThreadCapture();
-    out.execute_ms = exec_timer.ElapsedMillis();
-    auto& reg = MetricsRegistry::Global();
-    reg.Record("server.queue_wait",
-               static_cast<int64_t>(out.queue_wait_ms * 1e6));
-    reg.Record("trip.plan", static_cast<int64_t>(out.execute_ms * 1e6));
-    if (out.status.ok()) {
-      reg.Record("trip.harvest",
-                 out.result.stats.PhaseNs(QueryPhase::kTripHarvest));
-      reg.Record("trip.assemble",
-                 out.result.stats.PhaseNs(QueryPhase::kTripAssemble));
-    }
-    done(std::move(out));
-    if (inflight_.fetch_sub(1, std::memory_order_acq_rel) == 1) {
-      std::lock_guard<std::mutex> lock(drain_mu_);
-      drain_cv_.notify_all();
-    }
-  };
-  auto fut = pool_->TrySubmit(std::move(task));
-  if (!fut.has_value()) {
-    inflight_.fetch_sub(1, std::memory_order_acq_rel);
-    return false;
-  }
-  return true;
-}
+// The kinds the server serves (request_kind.h).
+template bool UotsService::Execute<RetrievalKind>(
+    const UotsQuery&, AlgorithmKind, const CancelToken*,
+    std::function<void(ExecutionResult)>, std::string, const ExecuteOptions&);
+template bool UotsService::Execute<TripKind>(
+    const TripQuery&, std::monostate, const CancelToken*,
+    std::function<void(TripExecutionResult)>, std::string,
+    const ExecuteOptions&);
+template std::shared_ptr<const CachedResult> UotsService::Lookup<RetrievalKind>(
+    const UotsQuery&, AlgorithmKind, std::string*);
+template std::shared_ptr<const CachedResult> UotsService::Lookup<TripKind>(
+    const TripQuery&, std::monostate, std::string*);
+template size_t UotsService::Pooled<RetrievalKind>(const AlgorithmKind*) const;
+template size_t UotsService::Pooled<TripKind>(const std::monostate*) const;
 
 }  // namespace uots

@@ -2,13 +2,14 @@
 //
 // The service is the bridge between the single-threaded reactor and the
 // compute pool. Admission is a hard bound on in-flight requests (queued +
-// executing): once full, TryExecute refuses immediately and the server
+// executing): once full, Execute refuses immediately and the server
 // answers "overloaded" — a saturating burst costs attackers a rejection
 // frame each, never unbounded queue memory or latency collapse for the
 // requests already admitted. Engines (which hold per-thread scratch state)
-// are pooled per algorithm kind and re-armed with the request's CancelToken
-// before every search, so a fired deadline aborts the engine at its next
-// round boundary instead of holding a worker hostage.
+// are pooled per request kind (request_kind.h) and engine key, and
+// re-armed with the request's CancelToken before every search, so a fired
+// deadline aborts the engine at its next round boundary instead of holding
+// a worker hostage.
 
 #ifndef UOTS_SERVER_SERVICE_H_
 #define UOTS_SERVER_SERVICE_H_
@@ -18,11 +19,13 @@
 #include <functional>
 #include <memory>
 #include <mutex>
+#include <tuple>
 #include <vector>
 
 #include "cache/result_cache.h"
 #include "core/algorithm.h"
 #include "core/database.h"
+#include "server/request_kind.h"
 #include "trip/planner.h"
 #include "util/cancel.h"
 #include "util/thread_pool.h"
@@ -49,10 +52,11 @@ struct ServiceOptions {
   UotsSearchOptions uots;
 };
 
-/// \brief Per-request observability context riding along with TryExecute.
+/// \brief Per-request observability context riding along with Execute.
 struct ExecuteOptions {
-  /// Correlation id attached to the worker's "server_execute" trace span
-  /// (as the span's numeric id, via a stable string hash). -1 = none.
+  /// Correlation id attached to the worker's execution span (the kind's
+  /// kSpanName: "server_execute" or "trip_execute") as the span's numeric
+  /// id, via a stable string hash. -1 = none.
   int64_t span_id = -1;
   /// Capture the span tree of this request's execution (worker-thread
   /// scope) into ExecutionResult::spans. Used by runtime trace sampling;
@@ -60,31 +64,26 @@ struct ExecuteOptions {
   bool capture_spans = false;
 };
 
-/// \brief Outcome of one executed request, delivered to the completion
-/// callback on a worker thread.
-struct ExecutionResult {
+/// \brief Outcome of one executed request of any kind, delivered to the
+/// completion callback on a worker thread.
+template <class Answer>
+struct BasicExecutionResult {
   Status status;          ///< engine status (OK, kDeadlineExceeded, ...)
-  SearchResult result;    ///< valid when status.ok()
+  Answer result;          ///< valid when status.ok()
   double queue_wait_ms = 0.0;  ///< admission -> worker pickup
   double execute_ms = 0.0;     ///< engine wall time
   /// The request's span tree when ExecuteOptions::capture_spans was set
   /// (names are static strings; safe to keep past the request).
   std::vector<TraceEvent> spans;
 };
-
-/// \brief Outcome of one executed trip request (see TryExecuteTrip).
-struct TripExecutionResult {
-  Status status;        ///< planner status (OK, kDeadlineExceeded, ...)
-  TripResult result;    ///< valid when status.ok()
-  double queue_wait_ms = 0.0;  ///< admission -> worker pickup
-  double execute_ms = 0.0;     ///< planner wall time
-  /// The request's span tree when ExecuteOptions::capture_spans was set.
-  std::vector<TraceEvent> spans;
-};
+template <class Kind>
+using ExecutionResultOf = BasicExecutionResult<typename Kind::Answer>;
+using ExecutionResult = ExecutionResultOf<RetrievalKind>;
+using TripExecutionResult = ExecutionResultOf<TripKind>;
 
 /// \brief Thread-pool-backed query executor with bounded admission.
 ///
-/// TryExecute may be called from any thread; completions run on pool
+/// Execute may be called from any thread; completions run on pool
 /// workers (wrap them with EventLoop::Post to get back to a reactor).
 class UotsService {
  public:
@@ -105,43 +104,62 @@ class UotsService {
   UotsService(const UotsService&) = delete;
   UotsService& operator=(const UotsService&) = delete;
 
-  /// Admits and dispatches one query. `cancel` (may be nullptr) must stay
-  /// valid until `done` runs; `done` is invoked exactly once on a worker
-  /// thread when admission succeeds. \return false when the service is at
-  /// capacity or shutting down — `done` is NOT invoked in that case.
-  /// A non-empty `cache_key` (from CacheLookup's miss path) makes a
-  /// successful result populate the result cache on the worker thread.
+  /// Admits and dispatches one request of `Kind` (request_kind.h) on the
+  /// pooled engine selected by `key`. Every kind shares the admission
+  /// budget, worker pool, snapshot pinning and drain accounting. `cancel`
+  /// (may be nullptr) must stay valid until `done` runs; `done` is invoked
+  /// exactly once on a worker thread when admission succeeds. \return
+  /// false when the service is at capacity or shutting down — `done` is
+  /// NOT invoked in that case. A non-empty `cache_key` (from Lookup's miss
+  /// path) makes a successful result populate the result cache on the
+  /// worker thread.
+  template <class Kind>
+  bool Execute(const typename Kind::Query& query, typename Kind::EngineKey key,
+               const CancelToken* cancel,
+               std::function<void(ExecutionResultOf<Kind>)> done,
+               std::string cache_key = {},
+               const ExecuteOptions& exec_opts = {});
+
+  /// \brief Result-cache probe for `Kind`, cheap enough for the reactor.
+  ///
+  /// Returns the cached answer on a hit. On a miss, `key_out` receives the
+  /// canonical key to pass to Execute so the computed result gets cached;
+  /// with caching disabled (or for bypassed requests — don't call)
+  /// `key_out` is cleared and the return is null. Each kind's key schema
+  /// keeps the key spaces disjoint; all are salted with the live dataset
+  /// fingerprint. Lookup time lands in the "server.cache.lookup"
+  /// histogram.
+  template <class Kind>
+  std::shared_ptr<const CachedResult> Lookup(const typename Kind::Query& query,
+                                             typename Kind::EngineKey key,
+                                             std::string* key_out);
+
+  /// Execute / Lookup for retrieval queries.
   bool TryExecute(const UotsQuery& query, AlgorithmKind kind,
                   const CancelToken* cancel,
                   std::function<void(ExecutionResult)> done,
                   std::string cache_key = {},
-                  const ExecuteOptions& exec_opts = {});
-
-  /// Admits and dispatches one trip-assembly query. Shares the admission
-  /// budget, worker pool, snapshot pinning, and drain accounting with
-  /// TryExecute; trip planners are pooled separately from retrieval
-  /// engines (same version-tagged lifecycle). \return false when at
-  /// capacity or shutting down — `done` is NOT invoked in that case.
+                  const ExecuteOptions& exec_opts = {}) {
+    return Execute<RetrievalKind>(query, kind, cancel, std::move(done),
+                                  std::move(cache_key), exec_opts);
+  }
+  std::shared_ptr<const CachedResult> CacheLookup(const UotsQuery& query,
+                                                  AlgorithmKind kind,
+                                                  std::string* key_out) {
+    return Lookup<RetrievalKind>(query, kind, key_out);
+  }
+  /// Execute / Lookup for trip-assembly queries.
   bool TryExecuteTrip(const TripQuery& query, const CancelToken* cancel,
                       std::function<void(TripExecutionResult)> done,
                       std::string cache_key = {},
-                      const ExecuteOptions& exec_opts = {});
-
-  /// \brief Result-cache probe, cheap enough for the reactor thread.
-  ///
-  /// Returns the cached answer on a hit. On a miss, `key_out` receives the
-  /// canonical key to pass to TryExecute so the computed result gets
-  /// cached; with caching disabled (or for bypassed requests — don't call)
-  /// `key_out` is cleared and the return is null. Lookup time lands in the
-  /// "server.cache.lookup" histogram.
-  std::shared_ptr<const CachedResult> CacheLookup(const UotsQuery& query,
-                                                  AlgorithmKind kind,
-                                                  std::string* key_out);
-
-  /// Trip-family twin of CacheLookup (schema byte keeps the key spaces
-  /// disjoint; the same generation salt applies).
+                      const ExecuteOptions& exec_opts = {}) {
+    return Execute<TripKind>(query, {}, cancel, std::move(done),
+                             std::move(cache_key), exec_opts);
+  }
   std::shared_ptr<const CachedResult> TripCacheLookup(const TripQuery& query,
-                                                      std::string* key_out);
+                                                      std::string* key_out) {
+    return Lookup<TripKind>(query, {}, key_out);
+  }
 
   /// The result cache, or null when ServiceOptions disabled it.
   ResultCache* result_cache() { return result_cache_.get(); }
@@ -193,21 +211,34 @@ class UotsService {
   }
 
   /// Idle pooled engines of `kind` (bounded by the worker count).
-  size_t pooled_engines(AlgorithmKind kind) const;
-  /// Idle pooled engines across all kinds.
-  size_t pooled_engines() const;
+  size_t pooled_engines(AlgorithmKind kind) const {
+    return Pooled<RetrievalKind>(&kind);
+  }
+  /// Idle pooled retrieval engines across all algorithm kinds.
+  size_t pooled_engines() const { return Pooled<RetrievalKind>(nullptr); }
   /// Idle pooled trip planners (bounded by the worker count).
-  size_t pooled_trip_planners() const;
+  size_t pooled_trip_planners() const { return Pooled<TripKind>(nullptr); }
 
  private:
-  /// A pooled engine; created lazily, one per concurrently-running request
-  /// of its kind (bounded by the worker count). Engines hold raw pointers
-  /// into one database build, so every entry is tagged with the
-  /// SwapDatabase version it was built against and dies with it.
-  struct PooledEngine {
-    AlgorithmKind kind;
-    uint64_t db_version;
-    std::unique_ptr<SearchAlgorithm> engine;
+  /// Idle engines of one kind, created lazily: at most one per worker and
+  /// key is kept. Engines hold raw pointers into one database build, so
+  /// every entry is tagged with the SwapDatabase version it was built
+  /// against and dies with it.
+  template <class Kind>
+  struct EnginePool {
+    struct Idle {
+      typename Kind::EngineKey key;
+      uint64_t db_version;
+      std::unique_ptr<typename Kind::Engine> engine;
+    };
+    std::vector<Idle> idle;
+
+    /// Idle engines with `*key` (all when null); caller holds engines_mu_.
+    size_t Count(const typename Kind::EngineKey* key) const {
+      size_t n = 0;
+      for (const Idle& p : idle) n += key == nullptr || p.key == *key;
+      return n;
+    }
   };
 
   /// One admission's pinned view of the database.
@@ -217,20 +248,23 @@ class UotsService {
   };
   DbSnapshot SnapshotDb() const;
 
-  /// A pooled trip planner; same version-tagged lifecycle as PooledEngine
-  /// (planners hold raw pointers into one database build too).
-  struct PooledTripPlanner {
-    uint64_t db_version;
-    std::unique_ptr<TripPlanner> planner;
-  };
-
-  std::unique_ptr<SearchAlgorithm> AcquireEngine(AlgorithmKind kind,
-                                                 const DbSnapshot& snap);
-  void ReleaseEngine(AlgorithmKind kind, uint64_t db_version,
-                     std::unique_ptr<SearchAlgorithm> engine);
-  std::unique_ptr<TripPlanner> AcquireTripPlanner(const DbSnapshot& snap);
-  void ReleaseTripPlanner(uint64_t db_version,
-                          std::unique_ptr<TripPlanner> planner);
+  template <class Kind>
+  EnginePool<Kind>& pool() {
+    return std::get<EnginePool<Kind>>(pools_);
+  }
+  template <class Kind>
+  const EnginePool<Kind>& pool() const {
+    return std::get<EnginePool<Kind>>(pools_);
+  }
+  /// Idle engines of `Kind` with `*key` (all keys when null).
+  template <class Kind>
+  size_t Pooled(const typename Kind::EngineKey* key) const;
+  template <class Kind>
+  std::unique_ptr<typename Kind::Engine> AcquireEngine(
+      typename Kind::EngineKey key, const DbSnapshot& snap);
+  template <class Kind>
+  void ReleaseEngine(typename Kind::EngineKey key, uint64_t db_version,
+                     std::unique_ptr<typename Kind::Engine> engine);
 
   mutable std::mutex db_mu_;
   std::shared_ptr<const TrajectoryDatabase> db_;
@@ -240,8 +274,7 @@ class UotsService {
   std::unique_ptr<ResultCache> result_cache_;
 
   mutable std::mutex engines_mu_;
-  std::vector<PooledEngine> free_engines_;
-  std::vector<PooledTripPlanner> free_trip_planners_;
+  std::tuple<EnginePool<RetrievalKind>, EnginePool<TripKind>> pools_;
 
   std::atomic<size_t> inflight_{0};
   std::atomic<bool> shutting_down_{false};

@@ -2,7 +2,10 @@
 // BlockingClients over TCP. Covers the acceptance criteria end to end:
 // bit-for-bit equivalence with in-process RunQuery, concurrent clients,
 // admission-control overload, per-request deadlines, protocol robustness
-// against malformed/oversized frames, and graceful shutdown.
+// against malformed/oversized frames, and graceful shutdown. Retrieval and
+// trip requests share one request lifecycle in the server, so the
+// lifecycle tests (malformed frame, overload, deadline, drain) run once per
+// request kind.
 
 #include <arpa/inet.h>
 #include <gtest/gtest.h>
@@ -11,6 +14,7 @@
 #include <unistd.h>
 
 #include <atomic>
+#include <map>
 #include <memory>
 #include <string>
 #include <thread>
@@ -25,6 +29,7 @@
 #include "server/json.h"
 #include "server/server.h"
 #include "traj/generator.h"
+#include "trip/workload.h"
 
 namespace uots {
 namespace {
@@ -85,6 +90,76 @@ std::vector<UotsQuery> MakeQueries(const TrajectoryDatabase& db, int n) {
   auto queries = MakeWorkload(db, wopts);
   EXPECT_TRUE(queries.ok());
   return std::move(*queries);
+}
+
+/// The request kinds served through the shared lifecycle.
+enum class Kind { kQuery, kTrip };
+constexpr Kind kKinds[] = {Kind::kQuery, Kind::kTrip};
+const char* KindName(Kind k) { return k == Kind::kTrip ? "trip" : "query"; }
+
+/// Workloads of both kinds over one database.
+struct Workloads {
+  std::vector<UotsQuery> queries;
+  std::vector<TripQuery> trips;
+};
+
+Workloads MakeWorkloads(const TrajectoryDatabase& db, int n) {
+  TripWorkloadOptions topts;
+  topts.num_queries = n;
+  topts.num_locations = 3;
+  topts.k = 2;
+  topts.seed = 34;
+  auto trips = MakeTripWorkload(db, topts);
+  EXPECT_TRUE(trips.ok());
+  return Workloads{MakeQueries(db, n), std::move(*trips)};
+}
+
+/// One request of either kind.
+struct KindRequest {
+  Kind kind;
+  QueryRequest query;
+  TripRequest trip;
+
+  std::string Json() const {
+    return kind == Kind::kTrip ? EncodeTripRequest(trip)
+                               : EncodeQueryRequest(query);
+  }
+  Status SendOn(BlockingClient& c) const {
+    return kind == Kind::kTrip ? c.Send(trip) : c.Send(query);
+  }
+};
+
+/// Request `id` of `kind` over workload item `i` (modulo its size).
+KindRequest MakeRequest(Kind kind, const Workloads& w, size_t i, int64_t id,
+                        double deadline_ms = 0.0) {
+  KindRequest r{kind, {}, {}};
+  r.query.id = r.trip.id = id;
+  r.query.deadline_ms = r.trip.deadline_ms = deadline_ms;
+  r.query.query = w.queries[i % w.queries.size()];
+  r.trip.query = w.trips[i % w.trips.size()];
+  return r;
+}
+
+/// A reply reduced to the fields every kind shares.
+template <class Response>
+Result<ResponseCommon> Common(Result<Response> r) {
+  if (!r.ok()) return r.status();
+  return static_cast<ResponseCommon&>(*r);
+}
+
+/// Decodes `payload`, or receives the next reply, as `kind`'s response.
+Result<ResponseCommon> ParseAs(Kind kind, std::string_view payload) {
+  return kind == Kind::kTrip ? Common(ParseTripResponse(payload))
+                             : Common(ParseQueryResponse(payload));
+}
+Result<ResponseCommon> ReceiveAs(BlockingClient& c, Kind kind) {
+  return kind == Kind::kTrip ? Common(c.ReceiveTrip()) : Common(c.Receive());
+}
+
+Result<ResponseCommon> CallAs(BlockingClient& c, const KindRequest& req) {
+  Status st = req.SendOn(c);
+  if (!st.ok()) return st;
+  return ReceiveAs(c, req.kind);
 }
 
 TEST(ServerIntegrationTest, ResultsMatchInProcessBitForBit) {
@@ -180,7 +255,7 @@ TEST(ServerIntegrationTest, ConcurrentClientsAllGetCorrectAnswers) {
   EXPECT_EQ(failures.load(), 0);
 }
 
-TEST(ServerIntegrationTest, PipelinedRequestsAnswerInOrder) {
+TEST(ServerIntegrationTest, PipelinedRequestsAreEachAnsweredOnceById) {
   auto db = MakeTestDb();
   ServerFixture fx(*db);
   const auto queries = MakeQueries(*db, 5);
@@ -194,80 +269,94 @@ TEST(ServerIntegrationTest, PipelinedRequestsAnswerInOrder) {
     req.query = queries[i];
     ASSERT_TRUE(client.Send(req).ok());
   }
+  // Responses come back in completion order (workers finish in any
+  // order), so they are matched to requests by id: every id exactly once.
+  std::map<int64_t, QueryResponse> answers;
   for (size_t i = 0; i < queries.size(); ++i) {
     auto resp = client.Receive();
     ASSERT_TRUE(resp.ok()) << resp.status().ToString();
-    EXPECT_EQ(resp->id, static_cast<int64_t>(100 + i))
-        << "responses out of order";
-    EXPECT_TRUE(resp->ok());
+    const int64_t id = resp->id;
+    EXPECT_TRUE(answers.emplace(id, std::move(*resp)).second)
+        << "id " << id << " answered twice";
+  }
+  ASSERT_EQ(answers.size(), queries.size());
+  for (size_t i = 0; i < queries.size(); ++i) {
+    auto it = answers.find(static_cast<int64_t>(100 + i));
+    ASSERT_NE(it, answers.end()) << "id " << 100 + i << " never answered";
+    ASSERT_TRUE(it->second.ok()) << it->second.error;
+    auto local = RunQuery(*db, queries[i]);
+    ASSERT_TRUE(local.ok());
+    // ScoredTrajectory equality is exact: every score bit.
+    EXPECT_EQ(it->second.results, local->items) << "query " << i;
   }
 }
 
 TEST(ServerIntegrationTest, MalformedFrameGetsErrorAndConnectionSurvives) {
   auto db = MakeTestDb();
   ServerFixture fx(*db);
-  const auto queries = MakeQueries(*db, 1);
+  const Workloads w = MakeWorkloads(*db, 1);
 
   BlockingClient client;
   ASSERT_TRUE(client.Connect("127.0.0.1", fx.port()).ok());
 
-  QueryRequest good;
-  good.id = 1;
-  good.query = queries[0];
+  for (const Kind kind : kKinds) {
+    SCOPED_TRACE(KindName(kind));
+    const KindRequest good = MakeRequest(kind, w, 0, 1);
 
-  // BlockingClient only sends well-formed requests, so drive the malformed
-  // frame through a raw socket.
-  struct RawConn {
-    int fd = -1;
-    ~RawConn() {
-      if (fd >= 0) ::close(fd);
+    // BlockingClient only sends well-formed requests, so drive the
+    // malformed frame through a raw socket.
+    struct RawConn {
+      int fd = -1;
+      ~RawConn() {
+        if (fd >= 0) ::close(fd);
+      }
+    };
+    RawConn raw;
+    raw.fd = ::socket(AF_INET, SOCK_STREAM, 0);
+    ASSERT_GE(raw.fd, 0);
+    sockaddr_in addr{};
+    addr.sin_family = AF_INET;
+    addr.sin_port = htons(fx.port());
+    inet_pton(AF_INET, "127.0.0.1", &addr.sin_addr);
+    ASSERT_EQ(::connect(raw.fd, reinterpret_cast<sockaddr*>(&addr),
+                        sizeof(addr)),
+              0);
+    const std::string bad_frame = EncodeFrame("{not json");
+    ASSERT_EQ(::send(raw.fd, bad_frame.data(), bad_frame.size(), 0),
+              static_cast<ssize_t>(bad_frame.size()));
+    // Read the error response frame off the raw socket.
+    FrameDecoder dec;
+    std::string payload;
+    char buf[4096];
+    for (;;) {
+      if (dec.Poll(&payload) == FrameDecoder::Next::kFrame) break;
+      const ssize_t n = ::recv(raw.fd, buf, sizeof(buf), 0);
+      ASSERT_GT(n, 0) << "server dropped the connection on malformed JSON";
+      dec.Append(buf, static_cast<size_t>(n));
     }
-  };
-  RawConn raw;
-  raw.fd = ::socket(AF_INET, SOCK_STREAM, 0);
-  ASSERT_GE(raw.fd, 0);
-  sockaddr_in addr{};
-  addr.sin_family = AF_INET;
-  addr.sin_port = htons(fx.port());
-  inet_pton(AF_INET, "127.0.0.1", &addr.sin_addr);
-  ASSERT_EQ(::connect(raw.fd, reinterpret_cast<sockaddr*>(&addr),
-                      sizeof(addr)),
-            0);
-  const std::string bad_frame = EncodeFrame("{not json");
-  ASSERT_EQ(::send(raw.fd, bad_frame.data(), bad_frame.size(), 0),
-            static_cast<ssize_t>(bad_frame.size()));
-  // Read the error response frame off the raw socket.
-  FrameDecoder dec;
-  std::string payload;
-  char buf[4096];
-  for (;;) {
-    if (dec.Poll(&payload) == FrameDecoder::Next::kFrame) break;
-    const ssize_t n = ::recv(raw.fd, buf, sizeof(buf), 0);
-    ASSERT_GT(n, 0) << "server dropped the connection on malformed JSON";
-    dec.Append(buf, static_cast<size_t>(n));
-  }
-  auto err = ParseQueryResponse(payload);
-  ASSERT_TRUE(err.ok());
-  EXPECT_EQ(err->status, ResponseStatus::kParseError);
+    auto err = ParseAs(kind, payload);
+    ASSERT_TRUE(err.ok());
+    EXPECT_EQ(err->status, ResponseStatus::kParseError);
 
-  // Same raw connection: a valid request must still be served.
-  const std::string good_frame = EncodeFrame(EncodeQueryRequest(good));
-  ASSERT_EQ(::send(raw.fd, good_frame.data(), good_frame.size(), 0),
-            static_cast<ssize_t>(good_frame.size()));
-  for (;;) {
-    if (dec.Poll(&payload) == FrameDecoder::Next::kFrame) break;
-    const ssize_t n = ::recv(raw.fd, buf, sizeof(buf), 0);
-    ASSERT_GT(n, 0) << "connection did not survive the malformed frame";
-    dec.Append(buf, static_cast<size_t>(n));
-  }
-  auto ok_resp = ParseQueryResponse(payload);
-  ASSERT_TRUE(ok_resp.ok());
-  EXPECT_TRUE(ok_resp->ok()) << ok_resp->error;
+    // Same raw connection: a valid request must still be served.
+    const std::string good_frame = EncodeFrame(good.Json());
+    ASSERT_EQ(::send(raw.fd, good_frame.data(), good_frame.size(), 0),
+              static_cast<ssize_t>(good_frame.size()));
+    for (;;) {
+      if (dec.Poll(&payload) == FrameDecoder::Next::kFrame) break;
+      const ssize_t n = ::recv(raw.fd, buf, sizeof(buf), 0);
+      ASSERT_GT(n, 0) << "connection did not survive the malformed frame";
+      dec.Append(buf, static_cast<size_t>(n));
+    }
+    auto ok_resp = ParseAs(kind, payload);
+    ASSERT_TRUE(ok_resp.ok());
+    EXPECT_TRUE(ok_resp->ok()) << ok_resp->error;
 
-  // And the unrelated client was never disturbed.
-  auto main_resp = client.Call(good);
-  ASSERT_TRUE(main_resp.ok());
-  EXPECT_TRUE(main_resp->ok());
+    // And the unrelated client was never disturbed.
+    auto main_resp = CallAs(client, good);
+    ASSERT_TRUE(main_resp.ok());
+    EXPECT_TRUE(main_resp->ok());
+  }
 }
 
 TEST(ServerIntegrationTest, OversizedFrameGetsErrorAndConnectionSurvives) {
@@ -310,35 +399,37 @@ TEST(ServerIntegrationTest, OverloadRejectsWithRetryableStatus) {
   opts.service.threads = 1;
   opts.service.max_inflight = 1;  // one admitted request at a time
   ServerFixture fx(*db, opts);
-  const auto queries = MakeQueries(*db, 4);
+  const Workloads w = MakeWorkloads(*db, 4);
 
   BlockingClient client;
   ASSERT_TRUE(client.Connect("127.0.0.1", fx.port()).ok());
-  // Burst: pipeline far more than the server may admit. With capacity 1,
-  // at least one request must be rejected as overloaded, and every frame
-  // still gets exactly one response (nothing is silently dropped).
-  constexpr int kBurst = 24;
-  for (int i = 0; i < kBurst; ++i) {
-    QueryRequest req;
-    req.id = i;
-    req.query = queries[static_cast<size_t>(i) % queries.size()];
-    ASSERT_TRUE(client.Send(req).ok());
-  }
-  int ok = 0, overloaded = 0;
-  for (int i = 0; i < kBurst; ++i) {
-    auto resp = client.Receive();
-    ASSERT_TRUE(resp.ok()) << resp.status().ToString();
-    if (resp->ok()) {
-      ++ok;
-    } else {
-      ASSERT_EQ(resp->status, ResponseStatus::kOverloaded);
-      EXPECT_TRUE(resp->retryable());
-      ++overloaded;
+  for (const Kind kind : kKinds) {
+    SCOPED_TRACE(KindName(kind));
+    // Burst: pipeline far more than the server may admit. With capacity 1,
+    // at least one request must be rejected as overloaded, and every frame
+    // still gets exactly one response (nothing is silently dropped).
+    constexpr int kBurst = 24;
+    for (int i = 0; i < kBurst; ++i) {
+      ASSERT_TRUE(MakeRequest(kind, w, static_cast<size_t>(i), i)
+                      .SendOn(client)
+                      .ok());
     }
+    int ok = 0, overloaded = 0;
+    for (int i = 0; i < kBurst; ++i) {
+      auto resp = ReceiveAs(client, kind);
+      ASSERT_TRUE(resp.ok()) << resp.status().ToString();
+      if (resp->ok()) {
+        ++ok;
+      } else {
+        ASSERT_EQ(resp->status, ResponseStatus::kOverloaded);
+        EXPECT_TRUE(resp->retryable());
+        ++overloaded;
+      }
+    }
+    EXPECT_EQ(ok + overloaded, kBurst);
+    EXPECT_GE(ok, 1) << "admission rejected everything";
+    EXPECT_GE(overloaded, 1) << "burst of 24 at capacity 1 never overloaded";
   }
-  EXPECT_EQ(ok + overloaded, kBurst);
-  EXPECT_GE(ok, 1) << "admission rejected everything";
-  EXPECT_GE(overloaded, 1) << "burst of 24 at capacity 1 never overloaded";
 }
 
 TEST(ServerIntegrationTest, DeadlineExceededReturnsTimeoutNotHang) {
@@ -346,30 +437,31 @@ TEST(ServerIntegrationTest, DeadlineExceededReturnsTimeoutNotHang) {
   ServerOptions opts;
   opts.service.threads = 1;
   ServerFixture fx(*db, opts);
-  const auto queries = MakeQueries(*db, 2);
+  const Workloads w = MakeWorkloads(*db, 2);
 
   BlockingClient client;
   ASSERT_TRUE(client.Connect("127.0.0.1", fx.port()).ok());
 
-  // An absurdly small deadline: the response must be a prompt timeout.
-  QueryRequest req;
-  req.id = 77;
-  req.query = queries[0];
-  req.algorithm = AlgorithmKind::kBruteForce;  // slowest engine
-  req.has_algorithm = true;
-  req.deadline_ms = 0.01;
-  auto resp = client.Call(req);
-  ASSERT_TRUE(resp.ok()) << resp.status().ToString();
-  EXPECT_EQ(resp->status, ResponseStatus::kDeadlineExceeded);
-  EXPECT_EQ(resp->id, 77);
+  for (const Kind kind : kKinds) {
+    SCOPED_TRACE(KindName(kind));
+    // An absurdly small deadline: the response must be a prompt timeout.
+    // Retrieval runs the slowest engine against 10 us; the trip deadline
+    // (1 ns) has always passed by the time a worker picks the request up,
+    // so the in-queue check answers it deterministically.
+    KindRequest req =
+        MakeRequest(kind, w, 0, 77, kind == Kind::kTrip ? 1e-6 : 0.01);
+    req.query.algorithm = AlgorithmKind::kBruteForce;
+    req.query.has_algorithm = true;
+    auto resp = CallAs(client, req);
+    ASSERT_TRUE(resp.ok()) << resp.status().ToString();
+    EXPECT_EQ(resp->status, ResponseStatus::kDeadlineExceeded);
+    EXPECT_EQ(resp->id, 77);
 
-  // The connection is still usable for a normal request afterwards.
-  QueryRequest good;
-  good.id = 78;
-  good.query = queries[1];
-  auto resp2 = client.Call(good);
-  ASSERT_TRUE(resp2.ok());
-  EXPECT_TRUE(resp2->ok()) << resp2->error;
+    // The connection is still usable for a normal request afterwards.
+    auto resp2 = CallAs(client, MakeRequest(kind, w, 1, 78));
+    ASSERT_TRUE(resp2.ok());
+    EXPECT_TRUE(resp2->ok()) << resp2->error;
+  }
 }
 
 TEST(ServerIntegrationTest, CachedRepeatIsBitIdenticalAndFlagged) {
@@ -526,31 +618,27 @@ TEST(ServerIntegrationTest, GracefulShutdownDrainsAndStops) {
 
 TEST(ServerIntegrationTest, RequestsDuringDrainGetShuttingDown) {
   auto db = MakeTestDb();
-  ServerFixture fx(*db);
-  const auto queries = MakeQueries(*db, 1);
+  const Workloads w = MakeWorkloads(*db, 1);
+  for (const Kind kind : kKinds) {
+    SCOPED_TRACE(KindName(kind));
+    ServerFixture fx(*db);
+    BlockingClient client;
+    ASSERT_TRUE(client.Connect("127.0.0.1", fx.port()).ok());
+    // Make sure the connection is established server-side first.
+    ASSERT_TRUE(CallAs(client, MakeRequest(kind, w, 0, 0)).ok());
 
-  BlockingClient client;
-  ASSERT_TRUE(client.Connect("127.0.0.1", fx.port()).ok());
-  // Make sure the connection is established server-side first.
-  QueryRequest warm;
-  warm.id = 0;
-  warm.query = queries[0];
-  ASSERT_TRUE(client.Call(warm).ok());
-
-  // Race a request against shutdown: the server may answer ok (if it ran
-  // before the drain flag), answer shutting_down, or close the connection
-  // (if drain finished first) — but it must never hang.
-  QueryRequest req;
-  req.id = 1;
-  req.query = queries[0];
-  ASSERT_TRUE(client.Send(req).ok());
-  fx.server().RequestShutdown();
-  auto resp = client.Receive();
-  if (resp.ok()) {
-    EXPECT_TRUE(resp->ok() || resp->status == ResponseStatus::kShuttingDown)
-        << ToString(resp->status);
+    // Race a request against shutdown: the server may answer ok (if it ran
+    // before the drain flag), answer shutting_down, or close the connection
+    // (if drain finished first) — but it must never hang.
+    ASSERT_TRUE(MakeRequest(kind, w, 0, 1).SendOn(client).ok());
+    fx.server().RequestShutdown();
+    auto resp = ReceiveAs(client, kind);
+    if (resp.ok()) {
+      EXPECT_TRUE(resp->ok() || resp->status == ResponseStatus::kShuttingDown)
+          << ToString(resp->status);
+    }
+    fx.Stop();
   }
-  fx.Stop();
 }
 
 // --- admin plane -----------------------------------------------------------

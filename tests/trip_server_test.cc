@@ -19,6 +19,7 @@
 #include "traj/generator.h"
 #include "trip/planner.h"
 #include "trip/workload.h"
+#include "util/metrics.h"
 
 namespace uots {
 namespace {
@@ -156,6 +157,64 @@ TEST(TripServerTest, ResponseRoundTripsBitForBit) {
   EXPECT_EQ(eparsed->error, "queue full");
   EXPECT_TRUE(eparsed->retryable());
   EXPECT_TRUE(eparsed->trips.empty());
+}
+
+TEST(TripServerTest, ResponseKeepsEveryStatsField) {
+  // Trip and query responses share one stats decoder: every counter of
+  // QueryStats::ToJson survives the round trip for both kinds.
+  TripResponse resp;
+  resp.has_stats = true;
+  resp.stats.visited_trajectories = 5;
+  resp.stats.heap_pops = 41;
+  resp.stats.posting_entries = 97;
+  resp.stats.schedule_steps = 13;
+  resp.stats.oracle_lookups = 7;
+  resp.stats.elapsed_ms = 1.5;
+  auto parsed = ParseTripResponse(EncodeTripResponse(resp));
+  ASSERT_TRUE(parsed.ok()) << parsed.status().ToString();
+  ASSERT_TRUE(parsed->has_stats);
+  EXPECT_EQ(parsed->stats.heap_pops, 41);
+  EXPECT_EQ(parsed->stats.posting_entries, 97);
+  EXPECT_EQ(parsed->stats.schedule_steps, 13);
+  EXPECT_EQ(parsed->stats.ToJson(), resp.stats.ToJson());
+
+  QueryResponse qresp;
+  qresp.has_stats = true;
+  qresp.stats = resp.stats;
+  auto qparsed = ParseQueryResponse(EncodeQueryResponse(qresp));
+  ASSERT_TRUE(qparsed.ok()) << qparsed.status().ToString();
+  EXPECT_EQ(qparsed->stats.ToJson(), parsed->stats.ToJson());
+}
+
+TEST(TripServerTest, TripExecutionCountsInServerExecute) {
+  const RoadNetwork net = MakeNet();
+  auto db = MakeDb(net, 150, 22);
+  const auto queries = MakeQueries(*db, 1);
+
+  ServerOptions opts;
+  opts.port = 0;
+  opts.service.threads = 1;
+  UotsServer server(std::shared_ptr<const TrajectoryDatabase>(db), opts);
+  ASSERT_TRUE(server.Start().ok());
+  std::thread loop([&] { server.Run(); });
+
+  BlockingClient client;
+  ASSERT_TRUE(client.Connect("127.0.0.1", server.port()).ok());
+  auto& reg = MetricsRegistry::Global();
+  const int64_t execute_before = reg.Get("server.execute").count();
+  const int64_t plan_before = reg.Get("trip.plan").count();
+  TripRequest req;
+  req.id = 1;
+  req.query = queries[0];
+  auto resp = client.Call(req);
+  ASSERT_TRUE(resp.ok() && resp->ok()) << resp.status().ToString();
+  // The worker records before it posts the answer back, so both counts
+  // already include this request.
+  EXPECT_EQ(reg.Get("server.execute").count(), execute_before + 1);
+  EXPECT_EQ(reg.Get("trip.plan").count(), plan_before + 1);
+
+  server.RequestShutdown();
+  loop.join();
 }
 
 TEST(TripServerTest, CacheOnOffServesIdenticalBits) {
