@@ -28,7 +28,6 @@
 
 #include <chrono>
 
-#include "cache/distance_field_cache.h"
 #include "common/datasets.h"
 #include "server/server.h"
 #include "storage/resolver.h"
@@ -53,7 +52,6 @@ struct Flags {
   int cache_max_entries = 0;  // 0 = result cache off
   double cache_ttl_ms = 0.0;
   int cache_shards = 8;
-  int distance_cache_mb = 0;  // 0 = tier-2 expansion cache off
   bool oracle = true;  // use a snapshot-baked distance oracle when present
   int admin_port = -1;  // -1 = admin plane off; 0 = ephemeral
   std::string admin_bind = "127.0.0.1";
@@ -77,7 +75,7 @@ void Usage(const char* argv0) {
       "          [--default-deadline-ms=MS] [--idle-timeout-ms=MS]\n"
       "          [--drain-timeout-ms=MS] [--max-connections=N]\n"
       "          [--cache-max-entries=N] [--cache-ttl-ms=MS]\n"
-      "          [--cache-shards=N] [--distance-cache-mb=N]\n"
+      "          [--cache-shards=N]\n"
       "          [--oracle=on|off] [--admin-port=N] [--admin-bind=ADDR]\n"
       "          [--compact-snapshot=PATH] [--compact-interval-ms=MS]\n",
       argv0);
@@ -117,8 +115,6 @@ int main(int argc, char** argv) {
       flags.cache_ttl_ms = std::atof(v.c_str());
     } else if (ParseFlag(argv[i], "--cache-shards", &v)) {
       flags.cache_shards = std::atoi(v.c_str());
-    } else if (ParseFlag(argv[i], "--distance-cache-mb", &v)) {
-      flags.distance_cache_mb = std::atoi(v.c_str());
     } else if (ParseFlag(argv[i], "--oracle", &v)) {
       if (v != "on" && v != "off") {
         std::fprintf(stderr, "--oracle takes on or off\n");
@@ -200,13 +196,6 @@ int main(int argc, char** argv) {
     opts.service.cache_shards = static_cast<size_t>(
         flags.cache_shards > 0 ? flags.cache_shards : 8);
   }
-  std::shared_ptr<uots::DistanceFieldCache> dcache;
-  if (flags.distance_cache_mb > 0) {
-    uots::DistanceFieldCache::Options dopts;
-    dopts.max_bytes = static_cast<size_t>(flags.distance_cache_mb) << 20;
-    dcache = std::make_shared<uots::DistanceFieldCache>(dopts);
-    opts.service.uots.distance_cache = dcache;
-  }
   opts.service.uots.use_oracle = flags.oracle;
   opts.admin.port = flags.admin_port;
   opts.admin.bind_address = flags.admin_bind;
@@ -267,9 +256,6 @@ int main(int argc, char** argv) {
                 opts.service.cache_max_entries, opts.service.cache_ttl_ms,
                 opts.service.cache_shards);
   }
-  if (dcache != nullptr) {
-    std::printf("distance cache: %d MB\n", flags.distance_cache_mb);
-  }
   if (shared_db->oracle() != nullptr) {
     std::printf("distance oracle: %zu vertices, %zu upward arcs (%s)\n",
                 shared_db->oracle()->NumVertices(),
@@ -320,16 +306,6 @@ int main(int argc, char** argv) {
         static_cast<long long>(c.cache_hits),
         static_cast<long long>(s.evictions), static_cast<long long>(s.expired),
         static_cast<long long>(s.entries), static_cast<long long>(s.bytes));
-  }
-  if (dcache != nullptr) {
-    const uots::DistanceFieldCache::Stats s = dcache->stats();
-    std::printf(
-        "distance cache: hits=%lld misses=%lld publishes=%lld rejected=%lld "
-        "evictions=%lld entries=%lld bytes=%lld\n",
-        static_cast<long long>(s.hits), static_cast<long long>(s.misses),
-        static_cast<long long>(s.publishes), static_cast<long long>(s.rejected),
-        static_cast<long long>(s.evictions), static_cast<long long>(s.entries),
-        static_cast<long long>(s.bytes));
   }
   server.service().PublishCacheMetrics();
   std::printf("--- metrics ---\n%s",

@@ -7,19 +7,12 @@
 // + food" trip is asked for constantly), which is exactly what the skew
 // knob models; the interesting numbers are the hit rate the skew buys, the
 // hit/miss latency split, and the throughput uplift.
-//
-// Tier 2 (distance-field cache): the same workload of *distinct* queries
-// (no result-cache effect possible) run cold and warm over a shared
-// expansion-prefix cache, against the cache-off baseline. The answers are
-// bit-identical by construction (tests assert it); what this measures is
-// the heap work a warm prefix store saves.
 
 #include <chrono>
 #include <memory>
 #include <string>
 #include <vector>
 
-#include "cache/distance_field_cache.h"
 #include "cache/query_key.h"
 #include "cache/result_cache.h"
 #include "common/datasets.h"
@@ -125,67 +118,13 @@ void RunResultCacheSweep(const TrajectoryDatabase& db, JsonReport* report) {
   }
 }
 
-void RunDistanceCacheComparison(const TrajectoryDatabase& db,
-                                JsonReport* report) {
-  WorkloadOptions wopts;
-  wopts.num_queries = 96;
-  wopts.num_locations = 3;
-  wopts.k = 5;
-  wopts.seed = 912;
-  const std::vector<UotsQuery> queries = DefaultWorkload(db, wopts);
-
-  Table table({"pass", "wall s", "avg ms", "settled/q", "replayed/q",
-               "dcache hits"});
-  table.PrintHeader();
-
-  auto run_pass = [&](const char* label, SearchAlgorithm* engine) {
-    QueryStats total;
-    const double t0 = Now();
-    for (const UotsQuery& q : queries) {
-      auto r = engine->Search(q);
-      if (!r.ok()) std::abort();
-      total += r->stats;
-    }
-    const double wall = Now() - t0;
-    const double n = static_cast<double>(queries.size());
-    table.PrintRow({label, FormatDouble(wall, 3),
-                    FormatDouble(1e3 * wall / n, 3),
-                    FormatDouble(total.settled_vertices / n, 0),
-                    FormatDouble(total.dcache_replayed / n, 0),
-                    std::to_string(total.dcache_hits)});
-    report->AddRow()
-        .Set("tier", std::string("distance"))
-        .Set("pass", std::string(label))
-        .Set("wall_seconds", wall)
-        .Set("avg_ms", 1e3 * wall / n)
-        .Set("settled_per_query", total.settled_vertices / n)
-        .Set("replayed_per_query", total.dcache_replayed / n)
-        .Set("dcache_hits", total.dcache_hits)
-        .Set("dcache_published", total.dcache_published);
-  };
-
-  UotsSearchOptions off;
-  auto engine_off = CreateAlgorithm(db, AlgorithmKind::kUots, off);
-  run_pass("cache off", engine_off.get());
-
-  UotsSearchOptions on;
-  on.distance_cache = std::make_shared<DistanceFieldCache>();
-  auto engine_on = CreateAlgorithm(db, AlgorithmKind::kUots, on);
-  run_pass("cold", engine_on.get());
-  run_pass("warm", engine_on.get());
-  table.PrintRule();
-}
-
 void Run() {
   auto db = LoadCity(City::kBRN);
   PrintBanner("C1 cross-query caching, BRN", *db);
   JsonReport report("C1 cross-query caching");
-  std::printf("tier 1: result cache over a Zipf-skewed closed loop "
+  std::printf("result cache over a Zipf-skewed closed loop "
               "(512-query pool, 64-entry cache, m=3, k=5)\n");
   RunResultCacheSweep(*db, &report);
-  std::printf("\ntier 2: distance-field cache over distinct queries "
-              "(bit-identical answers; see uots_cache_test)\n");
-  RunDistanceCacheComparison(*db, &report);
   report.WriteFile("BENCH_cache.json");
 }
 

@@ -1,4 +1,5 @@
-// Three-domain trip planning (the temporal extension, core/temporal.h).
+// Three-domain trip planning (the temporal extension, core/temporal.h,
+// answered by UotsSearcher).
 //
 // A commuter wants a trip that passes near two places, happens around
 // 08:00, and matches their interests. The example contrasts the answers
@@ -7,6 +8,7 @@
 
 #include <cstdio>
 
+#include "core/search.h"
 #include "core/temporal.h"
 #include "net/generators.h"
 #include "traj/generator.h"
@@ -45,7 +47,7 @@ int main() {
                            db.vocabulary().Lookup("food_0")});
   q.k = 4;
 
-  TemporalUotsSearcher searcher(db);
+  UotsSearcher searcher(db);
 
   q.weight_spatial = 0.5;
   q.weight_temporal = 0.0;

@@ -47,7 +47,7 @@ for preset in "${presets[@]}"; do
     ctest --preset "${preset}" -R uots_server_integration_test \
       --output-on-failure
     # Cache drill: the concurrent Zipf hammer races result-cache hits,
-    # inserts, evictions, and tier-2 prefix publication across worker
+    # inserts, and evictions against pooled engines across worker
     # threads — exactly the shared-state paths the sanitizers should sweep.
     echo "==> asan: cross-query cache hammer"
     ctest --preset "${preset}" -R "uots_cache_test|uots_batch_abort_test" \

@@ -66,8 +66,6 @@ class SearchAlgorithm {
   const CancelToken* cancel_ = nullptr;
 };
 
-class DistanceFieldCache;  // cache/distance_field_cache.h
-
 /// \brief Tuning knobs for the UOTS searcher (see core/search.h).
 struct UotsSearchOptions {
   /// Query-source scheduling policy.
@@ -75,15 +73,10 @@ struct UotsSearchOptions {
   /// Minimum expansion steps between scheduling / termination checks (the
   /// effective batch adapts upward with the partly-scanned set size).
   int batch_size = 64;
-  /// Optional cross-query expansion-prefix cache shared between engines
-  /// (thread-safe; see cache/distance_field_cache.h). Null = off. Results
-  /// are bit-identical either way; only heap work is saved. Excluded from
-  /// result-cache keys for the same reason.
-  std::shared_ptr<DistanceFieldCache> distance_cache;
   /// Use the database's distance oracle (when one is attached) to resolve
   /// candidates exactly on first contact and skip expansion rounds.
-  /// Results are bit-identical either way (see oracle/ch_oracle.h); like
-  /// the distance cache, excluded from result-cache keys.
+  /// Results are bit-identical either way (see oracle/ch_oracle.h), so it
+  /// is excluded from result-cache keys.
   bool use_oracle = true;
 };
 

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cassert>
+#include <cmath>
 #include <limits>
 #include <span>
 
@@ -13,6 +14,8 @@ namespace uots {
 
 /// Result-collection policy: either a top-k heap (prune threshold = the
 /// k-th best exact score so far) or a theta filter (fixed prune threshold).
+/// Items carry the three-domain score decomposition; two-domain searches
+/// project them (their temporal_sim is always 0).
 class UotsSearcher::Sink {
  public:
   /// Top-k mode.
@@ -21,7 +24,7 @@ class UotsSearcher::Sink {
   explicit Sink(double theta)
       : topk_(0), theta_(theta), threshold_mode_(true) {}
 
-  void Accept(const ScoredTrajectory& item) {
+  void Accept(const TemporalScoredTrajectory& item) {
     if (threshold_mode_) {
       if (item.score >= theta_) all_.push_back(item);
     } else {
@@ -34,10 +37,11 @@ class UotsSearcher::Sink {
     return threshold_mode_ ? theta_ : topk_.Threshold();
   }
 
-  std::vector<ScoredTrajectory> Finish() && {
+  std::vector<TemporalScoredTrajectory> Finish() && {
     if (!threshold_mode_) return std::move(topk_).Finish();
     std::sort(all_.begin(), all_.end(),
-              [](const ScoredTrajectory& a, const ScoredTrajectory& b) {
+              [](const TemporalScoredTrajectory& a,
+                 const TemporalScoredTrajectory& b) {
                 if (a.score != b.score) return a.score > b.score;
                 return a.id < b.id;
               });
@@ -45,8 +49,8 @@ class UotsSearcher::Sink {
   }
 
  private:
-  TopK topk_;
-  std::vector<ScoredTrajectory> all_;
+  TopK<TemporalScoredTrajectory> topk_;
+  std::vector<TemporalScoredTrajectory> all_;
   double theta_ = 0.0;
   bool threshold_mode_ = false;
 };
@@ -61,7 +65,7 @@ UotsSearcher::UotsSearcher(const TrajectoryDatabase& db,
   }
 }
 
-void UotsSearcher::ResolveTextualDomain(const UotsQuery& query,
+void UotsSearcher::ResolveTextualDomain(const KeywordSet& keywords,
                                         QueryStats* stats) {
   ScopedPhase phase(stats, QueryPhase::kTextualFilter);
   // Scratch spans the merged id space; a freshly published delta (or a
@@ -70,7 +74,7 @@ void UotsSearcher::ResolveTextualDomain(const UotsQuery& query,
     state_slot_.Resize(view_.NumTrajectories());
     text_of_.Resize(view_.NumTrajectories());
   }
-  view_.ScoreTextual(query.keywords, db_->model().textual(), &text_docs_,
+  view_.ScoreTextual(keywords, db_->model().textual(), &text_docs_,
                      &stats->posting_entries, &text_scratch_);
   std::sort(text_docs_.begin(), text_docs_.end(),
             [](const ScoredDoc& a, const ScoredDoc& b) {
@@ -137,33 +141,58 @@ Result<SearchResult> UotsSearcher::SearchTextOnlyThreshold(
   return out;
 }
 
-Status UotsSearcher::RunSearch(const UotsQuery& query, Sink* sink,
+Status UotsSearcher::RunSearch(const Sources& q, Sink* sink,
                                QueryStats* stats) {
   const auto& model = db_->model();
-  const size_t m = query.locations.size();
-  const double lambda = query.lambda;
+  const size_t ms = q.locations.size();  // network sources [0, ms)
+  const size_t mt = q.times.size();      // timeline sources [ms, m)
+  const size_t m = ms + mt;
+  // Per-domain divisors of the decay sums. An absent temporal domain sums
+  // nothing and divides by 1, so its term is exactly 0.
+  const double div[2] = {static_cast<double>(ms),
+                         mt > 0 ? static_cast<double>(mt) : 1.0};
+  // ws*SimS + wt*SimP + wk*SimT. With wt == 0 and SimP == 0 this is
+  // bitwise SimilarityModel::Combine(ws, SimS, SimT) for wk == 1 - ws.
+  const double ws = q.ws, wt = q.wt, wk = q.wk;
+  const auto combine = [ws, wt, wk](double spatial, double temporal,
+                                    double textual) {
+    return ws * spatial + wt * temporal + wk * textual;
+  };
 
-  // ---- Spatial domain: one expansion per query location. ----
-  while (expansions_.size() < m) {
-    expansions_.push_back(std::make_unique<ExpansionCursor>(db_->network()));
+  // ---- Query sources: one network expansion per location, one timeline
+  // walk (base timeline merged with the bound delta's) per time. ----
+  while (spatial_.size() < ms) {
+    spatial_.push_back(std::make_unique<NetworkExpansion>(db_->network()));
   }
-  std::vector<double> cur_decay(m);  // e^(-radius_i/sigma); 0 once exhausted
-  for (size_t i = 0; i < m; ++i) {
-    expansions_[i]->Begin(query.locations[i], opts_.distance_cache.get());
-    cur_decay[i] = 1.0;
-  }
+  while (temporal_.size() < mt) temporal_.emplace_back(db_->time_index());
+  const auto exhausted = [&](size_t i) {
+    return i < ms ? spatial_[i]->exhausted() : temporal_[i - ms].exhausted();
+  };
+  const auto settled_count = [&](size_t i) {
+    return i < ms ? spatial_[i]->settled_count()
+                  : temporal_[i - ms].settled_count();
+  };
+  std::vector<double> cur_decay(m, 1.0);  // e^(-radius_i/sigma); 0 once exhausted
   size_t exhausted_count = 0;
+  for (size_t i = 0; i < ms; ++i) spatial_[i]->Reset(q.locations[i]);
+  for (size_t j = 0; j < mt; ++j) {
+    temporal_[j].Reset(q.times[j], view_.DeltaTimeline());
+    if (temporal_[j].exhausted()) {  // empty timeline
+      cur_decay[ms + j] = 0.0;
+      ++exhausted_count;
+    }
+  }
 
   // With a distance oracle the expansion loop runs identically — exact
   // per-source scans, partial states, incremental bounds — until the
-  // radius-driven spatial bound alone is beaten. What remains then is the
+  // radius-driven bound alone is beaten. What remains then is the
   // baseline's expensive tail: candidates (typically high-SimT ones) whose
-  // upper bound cannot drop below the threshold until EVERY expansion has
+  // upper bound cannot drop below the threshold until EVERY source has
   // reached them. The oracle finisher resolves exactly those candidates
   // directly (see the termination check below) and stops, skipping the
   // tail expansion entirely.
   const bool use_oracle = provider_ != nullptr;
-  if (use_oracle) provider_->BeginQuery(query.locations);
+  if (use_oracle) provider_->BeginQuery(q.locations);
 
   state_slot_.Reset();
   states_.clear();
@@ -175,6 +204,8 @@ Status UotsSearcher::RunSearch(const UotsQuery& query, Sink* sink,
   size_t cur = 0;  // current query source
   const uint64_t full_mask =
       (m == 64) ? ~uint64_t{0} : ((uint64_t{1} << m) - 1);
+  const uint64_t spatial_mask =
+      (ms == 64) ? ~uint64_t{0} : ((uint64_t{1} << ms) - 1);
 
   // ---- Incremental bound maintenance. ----
   //
@@ -198,24 +229,40 @@ Status UotsSearcher::RunSearch(const UotsQuery& query, Sink* sink,
   // from scratch — recomputing every cached_ub with current decays and
   // compacting partial_ — exactly when the cached partial max is the only
   // thing blocking termination AND the inputs moved since the last rebuild.
-  double total_rs = static_cast<double>(m);  // sum of cur_decay
+  double total_rs[2] = {0.0, 0.0};  // per-domain sum of cur_decay
+  const auto sum_radius_decays = [&] {
+    total_rs[0] = 0.0;
+    total_rs[1] = 0.0;
+    for (size_t i = 0; i < ms; ++i) total_rs[0] += cur_decay[i];
+    for (size_t i = ms; i < m; ++i) total_rs[1] += cur_decay[i];
+  };
+  sum_radius_decays();
   size_t partial_count = 0;
   double cached_max = -std::numeric_limits<double>::infinity();
-  double total_rs_at_rebuild = total_rs;
+  double total_rs_at_rebuild[2] = {total_rs[0], total_rs[1]};
   bool touched_since_rebuild = false;
 
+  // Bound on a trajectory no source has scanned, given its exact SimT.
+  const auto unseen_ub = [&](double text) {
+    return combine(total_rs[0] / div[0], total_rs[1] / div[1], text);
+  };
+
+  // Sum of e^(-radius_i/sigma) over a domain's sources not in `scanned`,
+  // given `total`, the sum over all of the domain's sources.
+  const auto missing = [&](uint64_t scanned, double total) {
+    for (; scanned != 0; scanned &= scanned - 1) {
+      total -= cur_decay[__builtin_ctzll(scanned)];
+    }
+    return total;
+  };
   // SimU upper bound of a partly scanned state under current decays.
   const auto state_ub = [&](const TrajState& s) {
-    // sum over unscanned sources of e^(-radius_i/sigma)
-    double missing = total_rs;
-    uint64_t mask = s.mask;
-    while (mask != 0) {
-      const int i = __builtin_ctzll(mask);
-      missing -= cur_decay[i];
-      mask &= mask - 1;
-    }
-    return SimilarityModel::Combine(
-        lambda, (s.sum_decay + missing) / static_cast<double>(m), s.text);
+    return combine(
+        (s.sum_decay[0] + missing(s.mask & spatial_mask, total_rs[0])) /
+            div[0],
+        (s.sum_decay[1] + missing(s.mask & ~spatial_mask, total_rs[1])) /
+            div[1],
+        s.text);
   };
 
   // Recomputes labels / cached_max from scratch and compacts partial_.
@@ -239,125 +286,133 @@ Status UotsSearcher::RunSearch(const UotsQuery& query, Sink* sink,
     }
     partial_.resize(w);
     partial_count = w;
-    total_rs_at_rebuild = total_rs;
+    total_rs_at_rebuild[0] = total_rs[0];
+    total_rs_at_rebuild[1] = total_rs[1];
     touched_since_rebuild = false;
     ++stats->bound_rebuilds;
   };
 
+  // Scores a fully scanned state. The decays are summed in source order,
+  // one sum per domain — the association order of SimilarityModel::
+  // SpatialSim and the brute-force references — not scan order, so the
+  // score is independent of expansion scheduling (bit-identical across
+  // policies, the oracle path, and the brute-force references).
+  const auto accept = [&](const TrajState& s) {
+    const double* decays = decay_pool_.data() + s.decay_base;
+    double sum[2] = {0.0, 0.0};
+    for (size_t j = 0; j < ms; ++j) sum[0] += decays[j];
+    for (size_t j = ms; j < m; ++j) sum[1] += decays[j];
+    const double spatial = sum[0] / div[0];
+    const double temporal = sum[1] / div[1];
+    sink->Accept(TemporalScoredTrajectory{
+        s.id, combine(spatial, temporal, s.text), spatial, temporal, s.text});
+    ++stats->candidates;
+  };
+
+  const auto new_state = [&](TrajId t) {
+    const int32_t idx = static_cast<int32_t>(states_.size());
+    state_slot_.Set(t, idx);
+    TrajState s;
+    s.id = t;
+    s.text = text_of_.Get(t, 0.0);
+    s.decay_base = decay_pool_.size();
+    states_.push_back(s);
+    decay_pool_.resize(decay_pool_.size() + m, 0.0);
+    ++stats->visited_trajectories;
+    return idx;
+  };
+
   // Oracle resolution: exactly scores one trajectory with a single
   // multi-source oracle search over its whole sample-vertex set, yielding
-  // min over samples of sd(o_i, sample) for every source at once —
+  // min over samples of sd(o_i, sample) for every location at once —
   // bit-equal to the label the expansion would eventually settle (see
-  // oracle/ch_oracle.h). Sources that already scanned tau keep their
-  // expansion decays, and the final sum runs in source order either way,
-  // so the score is bitwise the score a full scan would have produced.
+  // oracle/ch_oracle.h). Temporal distances come straight from the
+  // samples, min |t_j - t_i|, the offset the timeline walk would settle.
+  // Sources that already scanned tau keep their scanned decays, and the
+  // final sums run in source order either way, so the score is bitwise
+  // the score a full scan would have produced.
   std::vector<VertexId> sample_verts;
   const auto oracle_resolve = [&](TrajId t) {
     int32_t idx = state_slot_.Get(t, -1);
-    if (idx < 0) {
-      idx = static_cast<int32_t>(states_.size());
-      state_slot_.Set(t, idx);
-      states_.push_back(TrajState{t, 0, 0, 0.0, text_of_.Get(t, 0.0), 0.0,
-                                  decay_pool_.size()});
-      decay_pool_.resize(decay_pool_.size() + m, 0.0);
-      ++stats->visited_trajectories;
-      // Never enters partial_: it is resolved right here.
-    }
+    // A fresh state never enters partial_: it is resolved right here.
+    if (idx < 0) idx = new_state(t);
     TrajState& s = states_[idx];
     if (s.known == static_cast<int>(m)) return;  // already exact
-    sample_verts.clear();
-    for (const Sample& smp : view_.SamplesOf(t)) {
-      sample_verts.push_back(smp.vertex);
-    }
-    const std::span<const double> row = provider_->MinDistancesTo(sample_verts);
-    stats->trajectory_hits += static_cast<int64_t>(m) - s.known;
+    const std::span<const Sample> samples = view_.SamplesOf(t);
     const uint64_t unset = ~s.mask & full_mask;
+    std::span<const double> row;
+    if ((unset & spatial_mask) != 0) {
+      sample_verts.clear();
+      for (const Sample& smp : samples) sample_verts.push_back(smp.vertex);
+      row = provider_->MinDistancesTo(sample_verts);
+    }
+    stats->trajectory_hits += static_cast<int64_t>(m) - s.known;
     s.mask = full_mask;
     s.known = static_cast<int>(m);
     touched_since_rebuild = true;  // its partial_ entry is now droppable
     double* decays = decay_pool_.data() + s.decay_base;
     for (uint64_t rest = unset; rest != 0; rest &= rest - 1) {
-      const int i = __builtin_ctzll(rest);
-      if (row[i] == kInfDistance) {
-        // Unreachable from source i: expansion i could never scan tau, so
+      const size_t i = __builtin_ctzll(rest);
+      if (i >= ms) {
+        double best = std::numeric_limits<double>::infinity();
+        for (const Sample& smp : samples) {
+          best = std::min(
+              best, std::fabs(static_cast<double>(q.times[i - ms]) -
+                              smp.time_s));
+        }
+        decays[i] = model.TemporalDecay(best);
+      } else if (row[i] == kInfDistance) {
+        // Unreachable from location i: expansion i could never scan tau, so
         // the baseline never completes or scores it. Resolved-unscored.
         return;
+      } else {
+        decays[i] = model.SpatialDecay(row[i]);
       }
-      decays[i] = model.SpatialDecay(row[i]);
     }
-    double sum = 0.0;
-    for (size_t j = 0; j < m; ++j) sum += decays[j];
-    s.sum_decay = sum;
-    const double spatial = sum / static_cast<double>(m);
-    const double score = SimilarityModel::Combine(lambda, spatial, s.text);
-    sink->Accept(ScoredTrajectory{t, score, spatial, s.text});
-    ++stats->candidates;
+    accept(s);
   };
 
-  // Processes one settled (source, vertex, distance) event. The scan body
-  // runs per trajectory; the outer wrapper walks the vertex's base posting
-  // segment then its delta segment — ascending global ids, exactly the
-  // posting list a rebuilt monolithic index would hold.
-  const auto process_hit = [&](size_t i, VertexId v, double d) {
-    const double decay = model.SpatialDecay(d);
+  // Registers source i's scan of trajectory t at `decay` (domain 0 for a
+  // network source, 1 for a timeline source).
+  const auto scan_traj = [&](size_t i, int domain, double decay, TrajId t) {
+    int32_t idx = state_slot_.Get(t, -1);
+    if (idx < 0) {
+      idx = new_state(t);
+      partial_.push_back(idx);
+      ++partial_count;
+    }
+    TrajState& s = states_[idx];
     const uint64_t bit = uint64_t{1} << i;
-    const auto scan_traj = [&](TrajId t) {
-      int32_t idx = state_slot_.Get(t, -1);
-      if (idx < 0) {
-        idx = static_cast<int32_t>(states_.size());
-        state_slot_.Set(t, idx);
-        states_.push_back(TrajState{t, 0, 0, 0.0, text_of_.Get(t, 0.0), 0.0,
-                                    decay_pool_.size()});
-        decay_pool_.resize(decay_pool_.size() + m, 0.0);
-        partial_.push_back(idx);
-        ++partial_count;
-        ++stats->visited_trajectories;
-      }
-      TrajState& s = states_[idx];
-      if ((s.mask & bit) != 0) return;  // source i already scanned tau
-      const bool fresh = s.mask == 0;
-      const double u_old = fresh ? 0.0 : s.cached_ub;
-      s.mask |= bit;
-      ++s.known;
-      s.sum_decay += decay;
-      decay_pool_[s.decay_base + i] = decay;
-      ++stats->trajectory_hits;
-      touched_since_rebuild = true;
-      if (s.known == static_cast<int>(m)) {
-        // Fully scanned: every d(o_i, tau) is exact; score it. Its only
-        // remaining label contribution was to source i, just scanned.
-        if (!fresh) labels[i] -= u_old;
-        --partial_count;
-        // Sum the decays in source order — the association order of
-        // SimilarityModel::SpatialSim — not scan order, so the score is
-        // independent of expansion scheduling (bit-identical across
-        // policies, the oracle path, and the brute-force reference).
-        const double* decays = decay_pool_.data() + s.decay_base;
-        double sum = 0.0;
-        for (size_t j = 0; j < m; ++j) sum += decays[j];
-        const double spatial = sum / static_cast<double>(m);
-        const double score = SimilarityModel::Combine(lambda, spatial, s.text);
-        sink->Accept(ScoredTrajectory{t, score, spatial, s.text});
-        ++stats->candidates;
-        return;
-      }
-      const double u_new = state_ub(s);
-      s.cached_ub = u_new;
-      if (u_new > cached_max) cached_max = u_new;
-      // Label deltas: source i stops missing this state; every still-
-      // missing source sees the cached bound move u_old -> u_new.
+    if ((s.mask & bit) != 0) return;  // source i already scanned tau
+    const bool fresh = s.mask == 0;
+    const double u_old = fresh ? 0.0 : s.cached_ub;
+    s.mask |= bit;
+    ++s.known;
+    s.sum_decay[domain] += decay;
+    decay_pool_[s.decay_base + i] = decay;
+    ++stats->trajectory_hits;
+    touched_since_rebuild = true;
+    if (s.known == static_cast<int>(m)) {
+      // Fully scanned: every distance is exact; score it. Its only
+      // remaining label contribution was to source i, just scanned.
       if (!fresh) labels[i] -= u_old;
-      uint64_t unset = ~s.mask & full_mask;
-      const double delta = u_new - u_old;
-      while (unset != 0) {
-        const int j = __builtin_ctzll(unset);
-        labels[j] += delta;
-        unset &= unset - 1;
-      }
-    };
-    const MergedView::Postings lists = view_.TrajectoriesAt(v);
-    for (TrajId t : lists.base) scan_traj(t);
-    for (TrajId t : lists.delta) scan_traj(t);
+      --partial_count;
+      accept(s);
+      return;
+    }
+    const double u_new = state_ub(s);
+    s.cached_ub = u_new;
+    if (u_new > cached_max) cached_max = u_new;
+    // Label deltas: source i stops missing this state; every still-
+    // missing source sees the cached bound move u_old -> u_new.
+    if (!fresh) labels[i] -= u_old;
+    uint64_t unset = ~s.mask & full_mask;
+    const double delta = u_new - u_old;
+    while (unset != 0) {
+      const int j = __builtin_ctzll(unset);
+      labels[j] += delta;
+      unset &= unset - 1;
+    }
   };
 
   // ---- Oracle threshold seeding. ----
@@ -398,7 +453,7 @@ Status UotsSearcher::RunSearch(const UotsQuery& query, Sink* sink,
 
     // Expand the current source for one batch. The batch grows with the
     // partly-scanned set so per-round bookkeeping stays amortized.
-    {
+    if (!exhausted(cur)) {
       ScopedPhase round(stats, QueryPhase::kSpatialExpansion);
       int batch =
           std::max<int>(opts_.batch_size, static_cast<int>(partial_count / 4));
@@ -407,8 +462,8 @@ Status UotsSearcher::RunSearch(const UotsQuery& query, Sink* sink,
       // and an uncapped batch (it grows with the partly-scanned set)
       // overshoots that crossing by thousands of settles.
       if (use_oracle) batch = std::min(batch, 1024);
-      ExpansionCursor& ex = *expansions_[cur];
-      if (!ex.exhausted()) {
+      if (cur < ms) {
+        NetworkExpansion& ex = *spatial_[cur];
         for (int step = 0; step < batch; ++step) {
           VertexId v;
           double d;
@@ -418,11 +473,34 @@ Status UotsSearcher::RunSearch(const UotsQuery& query, Sink* sink,
             break;
           }
           ++stats->settled_vertices;
-          process_hit(cur, v, d);
+          // Base posting segment then delta segment: ascending global
+          // ids, exactly the posting list a rebuilt index would hold.
+          const double decay = model.SpatialDecay(d);
+          const MergedView::Postings lists = view_.TrajectoriesAt(v);
+          for (TrajId t : lists.base) scan_traj(cur, 0, decay, t);
+          for (TrajId t : lists.delta) scan_traj(cur, 0, decay, t);
         }
-        if (!ex.exhausted()) {
-          cur_decay[cur] = model.SpatialDecay(ex.radius());
+        if (!ex.exhausted()) cur_decay[cur] = model.SpatialDecay(ex.radius());
+      } else {
+        TemporalExpansion& ex = temporal_[cur - ms];
+        // A batch never ends inside a group of equal offsets, so samples
+        // at the same |dt| (duplicate trips) are scanned before the same
+        // termination check — as trajectories sharing a vertex are by one
+        // network settle. A tied candidate then never sits unscanned with
+        // a bound equal to the threshold, and (score, id) tie-breaks hold.
+        for (int step = 0; step < batch || ex.PeekOffset() == ex.radius();
+             ++step) {
+          TrajId t;
+          double dt;
+          if (!ex.Step(&t, &dt)) {
+            ++exhausted_count;
+            cur_decay[cur] = 0.0;
+            break;
+          }
+          ++stats->settled_vertices;
+          scan_traj(cur, 1, model.TemporalDecay(dt), t);
         }
+        if (!ex.exhausted()) cur_decay[cur] = model.TemporalDecay(ex.radius());
       }
     }
     ++stats->schedule_steps;
@@ -431,8 +509,7 @@ Status UotsSearcher::RunSearch(const UotsQuery& query, Sink* sink,
     bool terminated = false;
     {
       ScopedPhase round(stats, QueryPhase::kBoundMaintenance);
-      total_rs = 0.0;
-      for (size_t i = 0; i < m; ++i) total_rs += cur_decay[i];
+      sum_radius_decays();
 
       // Advance past fully scanned textual candidates.
       while (text_ptr < text_docs_.size()) {
@@ -445,9 +522,8 @@ Status UotsSearcher::RunSearch(const UotsQuery& query, Sink* sink,
       }
       const double max_rem_text =
           text_ptr < text_docs_.size() ? text_docs_[text_ptr].score : 0.0;
-      // Bound on everything the spatial domain has not seen at all.
-      const double base_ub = SimilarityModel::Combine(
-          lambda, total_rs / static_cast<double>(m), max_rem_text);
+      // Bound on everything no source has seen at all.
+      const double base_ub = unseen_ub(max_rem_text);
       const double threshold = sink->PruneThreshold();
 
       const auto current_global_ub = [&] {
@@ -456,7 +532,9 @@ Status UotsSearcher::RunSearch(const UotsQuery& query, Sink* sink,
       if (threshold >= current_global_ub()) {
         terminated = true;
       } else if (threshold >= base_ub &&
-                 (touched_since_rebuild || total_rs < total_rs_at_rebuild)) {
+                 (touched_since_rebuild ||
+                  total_rs[0] < total_rs_at_rebuild[0] ||
+                  total_rs[1] < total_rs_at_rebuild[1])) {
         // Only the (possibly stale) partial max blocks termination and its
         // inputs have moved: pay for one exact rebuild and re-check.
         rebuild_bounds();
@@ -465,10 +543,10 @@ Status UotsSearcher::RunSearch(const UotsQuery& query, Sink* sink,
 
       if (!terminated && use_oracle) {
         // Oracle finisher. The expansion's remaining job splits in two:
-        // (a) growing radii until the spatial-only bound collapses, and
+        // (a) growing radii until the radius-only bound collapses, and
         // (b) finishing the scan of every candidate still above threshold
         // — (b) is the expensive tail, since a high-SimT candidate's bound
-        // cannot drop below the threshold until ALL m expansions reach it.
+        // cannot drop below the threshold until ALL m sources reach it.
         // Once (a) is done, expansion can contribute nothing the oracle
         // does not deliver cheaper: resolve each still-blocking candidate
         // exactly and stop. `>=` (not `>`) matches the baseline on
@@ -476,11 +554,9 @@ Status UotsSearcher::RunSearch(const UotsQuery& query, Sink* sink,
         // threshold keeps its bound at or above the threshold until fully
         // scanned, so the baseline inevitably completes and offers it; the
         // finisher must offer it too.
-        const double spatial_only = SimilarityModel::Combine(
-            lambda, total_rs / static_cast<double>(m), 0.0);
         const double thr = sink->PruneThreshold();
         bool fire = false;
-        if (thr >= spatial_only) {
+        if (thr >= unseen_ub(0.0)) {
           // Safe to fire — but is it profitable yet? Every expansion batch
           // shrinks the set the finisher would have to resolve (scans
           // complete candidates; falling decays lower bounds below the
@@ -503,11 +579,7 @@ Status UotsSearcher::RunSearch(const UotsQuery& query, Sink* sink,
           const ScoredDoc* text_end = text_docs_.data() + text_docs_.size();
           const ScoredDoc* text_cut = std::partition_point(
               text_beg, text_end,
-              [&](const ScoredDoc& d) {
-                return SimilarityModel::Combine(
-                           lambda, total_rs / static_cast<double>(m),
-                           d.score) > thr;
-              });
+              [&](const ScoredDoc& d) { return unseen_ub(d.score) > thr; });
           need += text_cut - text_beg;
           fire = need * kResolveCostSettles <=
                  std::max<int64_t>(stats->settled_vertices, kFreeSettles);
@@ -527,17 +599,12 @@ Status UotsSearcher::RunSearch(const UotsQuery& query, Sink* sink,
           }
           // Unseen textual candidates, in descending SimT order: resolve
           // heads while they can still beat the threshold. Everything at
-          // or past the break point — and every spatially-unseen
-          // trajectory with less text — is bounded below the threshold by
-          // the same expression the baseline terminates against.
+          // or past the break point — and every unseen trajectory with
+          // less text — is bounded below the threshold by the same
+          // expression the baseline terminates against.
           while (text_ptr < text_docs_.size()) {
             const ScoredDoc& head = text_docs_[text_ptr];
-            if (sink->PruneThreshold() >=
-                SimilarityModel::Combine(lambda,
-                                         total_rs / static_cast<double>(m),
-                                         head.score)) {
-              break;
-            }
+            if (sink->PruneThreshold() >= unseen_ub(head.score)) break;
             oracle_resolve(static_cast<TrajId>(head.doc));
             ++text_ptr;
           }
@@ -555,13 +622,12 @@ Status UotsSearcher::RunSearch(const UotsQuery& query, Sink* sink,
           double best = -1.0;
           size_t best_i = cur;
           for (size_t i = 0; i < m; ++i) {
-            if (expansions_[i]->exhausted()) continue;
+            if (exhausted(i)) continue;
             // Break label ties by least-settled so fresh sources get
             // started.
             if (labels[i] > best ||
                 (labels[i] == best &&
-                 expansions_[i]->settled_count() <
-                     expansions_[best_i]->settled_count())) {
+                 settled_count(i) < settled_count(best_i))) {
               best = labels[i];
               best_i = i;
             }
@@ -572,7 +638,7 @@ Status UotsSearcher::RunSearch(const UotsQuery& query, Sink* sink,
         case SchedulingPolicy::kRoundRobin: {
           for (size_t step = 1; step <= m; ++step) {
             const size_t i = (cur + step) % m;
-            if (!expansions_[i]->exhausted()) {
+            if (!exhausted(i)) {
               cur = i;
               break;
             }
@@ -582,37 +648,45 @@ Status UotsSearcher::RunSearch(const UotsQuery& query, Sink* sink,
         case SchedulingPolicy::kSequential: {
           // Stay on the current source until it exhausts, then move to the
           // lowest-indexed source that still has work.
-          if (expansions_[cur]->exhausted()) {
+          if (exhausted(cur)) {
             size_t next = 0;
-            while (next < m && expansions_[next]->exhausted()) ++next;
+            while (next < m && exhausted(next)) ++next;
             if (next < m) cur = next;
           }
           break;
         }
       }
     }
-    if (expansions_[cur]->exhausted()) break;  // all done
+    if (exhausted(cur)) break;  // all done
   }
 
-  // Expose the heap behavior of this query's expansions: with the indexed
-  // frontier heap, pops == settles (stale pops would show up here). Heap
-  // counters are live work only — replayed events did no heap work, which
-  // is exactly the tier-2 saving — so settles are compared against the
-  // cursor's live count, not its logical one. Prefixes are published even
-  // from aborted searches: any recorded prefix is a valid recording.
-  for (size_t i = 0; i < m; ++i) {
-    ExpansionCursor& done = *expansions_[i];
+  // Expose the heap behavior of this query's network expansions: with the
+  // indexed frontier heap, pops == settles (stale pops would show up here).
+  for (size_t i = 0; i < ms; ++i) {
+    const NetworkExpansion& done = *spatial_[i];
     stats->heap_pops += done.heap_pops();
     stats->heap_pushes += done.heap_pushes();
     stats->heap_decreases += done.heap_decreases();
-    stats->heap_stale_pops += done.heap_pops() - done.live_settled_count();
-    if (done.from_cache()) ++stats->dcache_hits;
-    stats->dcache_replayed += done.replayed_count();
-    if (done.Publish()) ++stats->dcache_published;
+    stats->heap_stale_pops += done.heap_pops() - done.settled_count();
   }
   if (use_oracle) stats->oracle_lookups += provider_->TakeLookups();
   if (aborted) {
     return Status::DeadlineExceeded("search aborted by deadline/cancel");
+  }
+  return Status::OK();
+}
+
+Status UotsSearcher::RunTwoDomain(const UotsQuery& query, Sink* sink,
+                                  SearchResult* out) {
+  const Sources sources{query.locations, {}, query.lambda, 0.0,
+                        1.0 - query.lambda};
+  UOTS_RETURN_NOT_OK(RunSearch(sources, sink, &out->stats));
+  ScopedPhase phase(&out->stats, QueryPhase::kRefinement);
+  const std::vector<TemporalScoredTrajectory> items = std::move(*sink).Finish();
+  out->items.reserve(items.size());
+  for (const TemporalScoredTrajectory& it : items) {
+    out->items.push_back(
+        ScoredTrajectory{it.id, it.score, it.spatial_sim, it.textual_sim});
   }
   return Status::OK();
 }
@@ -623,7 +697,7 @@ Result<SearchResult> UotsSearcher::Search(const UotsQuery& query) {
   WallTimer timer;
   view_.Bind(*db_);
   SearchResult out;
-  ResolveTextualDomain(query, &out.stats);
+  ResolveTextualDomain(query.keywords, &out.stats);
   if (query.lambda == 0.0) {
     Result<SearchResult> r = SearchTextOnly(query);
     if (r.ok()) {
@@ -635,7 +709,24 @@ Result<SearchResult> UotsSearcher::Search(const UotsQuery& query) {
     return r;
   }
   Sink sink(static_cast<size_t>(query.k));
-  UOTS_RETURN_NOT_OK(RunSearch(query, &sink, &out.stats));
+  UOTS_RETURN_NOT_OK(RunTwoDomain(query, &sink, &out));
+  out.stats.elapsed_ms = timer.ElapsedMillis();
+  return out;
+}
+
+Result<TemporalSearchResult> UotsSearcher::Search(
+    const TemporalUotsQuery& query) {
+  UOTS_RETURN_NOT_OK(
+      ValidateTemporalQuery(query, db_->network().NumVertices()));
+  UOTS_TRACE_SCOPE("UOTS-3D");
+  WallTimer timer;
+  view_.Bind(*db_);
+  TemporalSearchResult out;
+  ResolveTextualDomain(query.keywords, &out.stats);
+  Sink sink(static_cast<size_t>(query.k));
+  const Sources sources{query.locations, query.times, query.weight_spatial,
+                        query.weight_temporal, query.weight_textual};
+  UOTS_RETURN_NOT_OK(RunSearch(sources, &sink, &out.stats));
   {
     ScopedPhase phase(&out.stats, QueryPhase::kRefinement);
     out.items = std::move(sink).Finish();
@@ -651,7 +742,7 @@ Result<SearchResult> UotsSearcher::SearchThreshold(const UotsQuery& query,
   WallTimer timer;
   view_.Bind(*db_);
   SearchResult out;
-  ResolveTextualDomain(query, &out.stats);
+  ResolveTextualDomain(query.keywords, &out.stats);
   if (query.lambda == 0.0) {
     Result<SearchResult> r = SearchTextOnlyThreshold(query, theta);
     if (r.ok()) {
@@ -663,11 +754,7 @@ Result<SearchResult> UotsSearcher::SearchThreshold(const UotsQuery& query,
     return r;
   }
   Sink sink(theta);
-  UOTS_RETURN_NOT_OK(RunSearch(query, &sink, &out.stats));
-  {
-    ScopedPhase phase(&out.stats, QueryPhase::kRefinement);
-    out.items = std::move(sink).Finish();
-  }
+  UOTS_RETURN_NOT_OK(RunTwoDomain(query, &sink, &out));
   out.stats.elapsed_ms = timer.ElapsedMillis();
   return out;
 }

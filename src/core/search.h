@@ -1,4 +1,5 @@
-// The UOTS two-domain expansion search — the paper's contribution.
+// The UOTS expansion search — the paper's contribution, plus its
+// three-domain (spatial + temporal + textual) extension (core/temporal.h).
 //
 // For one query with m locations and a keyword set:
 //
@@ -10,19 +11,28 @@
 //  * Spatial domain: one incremental network expansion per query location
 //    ("query source"). When expansion i first settles a vertex of
 //    trajectory tau, the settled distance IS d(o_i, tau) exactly.
+//  * Temporal domain (three-domain queries only): one timeline walk per
+//    query time (traj/time_index.h). It settles samples in nondecreasing
+//    |dt|, so the first settled sample of tau gives d(t_j, tau) exactly and
+//    the walk radius lower-bounds every unseen trajectory — the same
+//    structure as the spatial domain, so all sources share one loop.
 //
-//  Upper bound of a partly scanned tau (radius r_i of expansion i lower-
-//  bounds d(o_i, tau) for every source that has not scanned tau yet):
+//  Upper bound of a partly scanned tau (radius r_i of source i lower-
+//  bounds its distance to tau for every source that has not scanned tau):
 //
 //    SimS.ub(tau) = (1/m) [ sum_{i in mask} e^(-d_i/sigma)
 //                         + sum_{i not in mask} e^(-r_i/sigma) ]
-//    SimU.ub(tau) = lambda * SimS.ub(tau) + (1-lambda) * SimT(tau)
+//    SimU.ub(tau) = ws * SimS.ub(tau) + wt * SimP.ub(tau) + wk * SimT(tau)
+//
+//  with SimP.ub built the same way over the temporal sources. A two-domain
+//  query runs with ws = lambda, wt = 0, wk = 1 - lambda, which evaluates
+//  bit-identically to SimilarityModel::Combine (x + 0.0 == x).
 //
 //  Global bound: max over partly scanned of SimU.ub, versus
-//    lambda * (1/m) sum_i e^(-r_i/sigma) + (1-lambda) * maxRemainingSimT
-//  for everything spatially unseen. The search stops when the pruning
-//  threshold (the k-th exact score for top-k queries, theta for threshold
-//  queries) reaches the global bound — everything unresolved is pruned.
+//    ws * (1/m) sum_i e^(-r_i/sigma) + wt * (...) + wk * maxRemainingSimT
+//  for everything unseen. The search stops when the pruning threshold (the
+//  k-th exact score for top-k queries, theta for threshold queries) reaches
+//  the global bound — everything unresolved is pruned.
 //
 //  Scheduling (the paper family's query-source priority): the next source
 //  to expand maximizes label(i) = sum of SimU.ub over partly scanned
@@ -34,12 +44,15 @@
 #define UOTS_CORE_SEARCH_H_
 
 #include <memory>
+#include <span>
 #include <vector>
 
-#include "cache/expansion_cursor.h"
 #include "core/algorithm.h"
+#include "core/temporal.h"
 #include "ingest/merged_view.h"
+#include "net/expansion.h"
 #include "oracle/distance_provider.h"
+#include "traj/time_index.h"
 #include "util/versioned.h"
 
 namespace uots {
@@ -51,6 +64,11 @@ class UotsSearcher : public SearchAlgorithm {
 
   /// Top-k search: the k highest-scoring trajectories.
   Result<SearchResult> Search(const UotsQuery& query) override;
+
+  /// Three-domain top-k search (core/temporal.h). Same loop, bounds,
+  /// oracle, cancel token and (score, id) top-k as the two-domain search;
+  /// sees live-ingested trips through the same MergedView.
+  Result<TemporalSearchResult> Search(const TemporalUotsQuery& query);
 
   /// Threshold search: every trajectory with SimU >= theta, descending.
   /// `query.k` is ignored. The same bounds prune the search space; the
@@ -70,19 +88,32 @@ class UotsSearcher : public SearchAlgorithm {
   }
 
  private:
-  /// Per-trajectory scan state (created on first spatial hit).
+  /// Per-trajectory scan state (created on first hit from any source).
   struct TrajState {
     TrajId id = kInvalidTraj;
-    uint64_t mask = 0;       ///< query sources that have scanned this traj
-    int known = 0;           ///< popcount(mask)
-    double sum_decay = 0.0;  ///< sum of e^(-d_i/sigma) over scanned sources
-    double text = 0.0;       ///< exact SimT
+    uint64_t mask = 0;  ///< query sources that have scanned this traj
+    int known = 0;      ///< popcount(mask)
+    /// Sum of scanned decays per domain ([0] spatial, [1] temporal), in
+    /// scan order — bound upkeep only; final scores re-sum decay_pool_.
+    double sum_decay[2] = {0.0, 0.0};
+    double text = 0.0;  ///< exact SimT
     /// SimU upper bound cached when the state was last touched/rebuilt.
     /// Radii only grow and decays only shrink, so this never underestimates
     /// the state's true current bound (see RunSearch).
     double cached_ub = 0.0;
-    /// Base index of this state's m per-source decays in decay_pool_.
+    /// Base index of this state's per-source decays in decay_pool_.
     size_t decay_base = 0;
+  };
+
+  /// \brief One query as the search loop sees it: its sources and domain
+  /// weights. Sources [0, |locations|) are network expansions, the rest
+  /// timeline walks.
+  struct Sources {
+    std::span<const VertexId> locations;
+    std::span<const int32_t> times;
+    double ws = 0.0;  ///< spatial weight
+    double wt = 0.0;  ///< temporal weight
+    double wk = 0.0;  ///< textual weight
   };
 
   /// \brief Result-collection policy shared by the top-k and threshold
@@ -90,13 +121,17 @@ class UotsSearcher : public SearchAlgorithm {
   /// PruneThreshold() is the score everything unresolved must beat.
   class Sink;
 
-  /// Runs the two-domain search, feeding exact results into `sink`.
+  /// Runs the expansion search, feeding exact results into `sink`.
   /// \return kDeadlineExceeded when the installed cancel token fired
   /// (checked once per scheduling round); OK otherwise.
-  Status RunSearch(const UotsQuery& query, Sink* sink, QueryStats* stats);
+  Status RunSearch(const Sources& query, Sink* sink, QueryStats* stats);
 
   /// Probes the keyword index and fills text_docs_ / text_of_.
-  void ResolveTextualDomain(const UotsQuery& query, QueryStats* stats);
+  void ResolveTextualDomain(const KeywordSet& keywords, QueryStats* stats);
+
+  /// Runs a two-domain query (lambda > 0) through RunSearch into `sink`
+  /// and projects the collected items into `out`.
+  Status RunTwoDomain(const UotsQuery& query, Sink* sink, SearchResult* out);
 
   Result<SearchResult> SearchTextOnly(const UotsQuery& query);
   Result<SearchResult> SearchTextOnlyThreshold(const UotsQuery& query,
@@ -104,24 +139,25 @@ class UotsSearcher : public SearchAlgorithm {
 
   const TrajectoryDatabase* db_;
   UotsSearchOptions opts_;
-  /// Base+delta read surface, rebound at the top of every Search /
-  /// SearchThreshold so one query sees one sealed ingest generation.
+  /// Base+delta read surface, rebound at the top of every search so one
+  /// query sees one sealed ingest generation.
   MergedView view_;
   /// Exact-distance oracle front-end; null without an attached oracle (or
-  /// with opts_.use_oracle off). Per-searcher scratch, like expansions_.
+  /// with opts_.use_oracle off). Per-searcher scratch, like the expansions.
   std::unique_ptr<DistanceProvider> provider_;
-  /// Expansion cursors: plain resumable Dijkstras without a distance cache,
-  /// replay/record front-ends with one (opts_.distance_cache).
-  std::vector<std::unique_ptr<ExpansionCursor>> expansions_;
+  /// Resumable per-source walks, reused across queries.
+  std::vector<std::unique_ptr<NetworkExpansion>> spatial_;
+  std::vector<TemporalExpansion> temporal_;
   VersionedArray<int32_t> state_slot_;  ///< traj id -> index into states_
   VersionedArray<double> text_of_;      ///< traj id -> exact SimT
   std::vector<TrajState> states_;
   std::vector<int32_t> partial_;        ///< indexes of partly scanned states
-  /// Per-state, per-source decays e^(-d_i/sigma), m slots per state. Final
-  /// scores always sum these in source order — the same association order
-  /// as SimilarityModel::SpatialSim — so a score does not depend on which
-  /// source happened to scan the trajectory first (and matches the oracle
-  /// path and the brute-force reference bit for bit).
+  /// Per-state, per-source decays e^(-d_i/sigma), one slot per source.
+  /// Final scores always sum these in source order, one sum per domain —
+  /// the association order of SimilarityModel::SpatialSim and the
+  /// brute-force references — so a score does not depend on which source
+  /// happened to scan the trajectory first (and matches the oracle path
+  /// and the brute-force references bit for bit).
   std::vector<double> decay_pool_;
   std::vector<ScoredDoc> text_docs_;    ///< textual candidates, SimT desc
   /// Counter scratch for the shared keyword index (one per engine — the

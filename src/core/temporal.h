@@ -1,32 +1,27 @@
-// Three-domain (spatial + temporal + textual) UOTS extension.
+// Three-domain (spatial + temporal + textual) UOTS extension: query and
+// result types, validation, and the brute-force reference.
 //
 // The EDBT-2012 paper searches the spatial and textual domains; its
 // companion work (personalized trajectory matching) adds the temporal
-// domain. This module implements the natural three-domain generalization
-// with the same expansion/upper-bound machinery:
+// domain. This module defines the natural three-domain generalization:
 //
 //   SimU3(q, tau) = ws * SimS + wt * SimP + wk * SimT,   ws+wt+wk = 1
 //   SimP(q, tau)  = (1/|q.times|) * sum_j e^(-d(t_j, tau)/sigma_s)
 //   d(t_j, tau)   = min_i |t_j - tau.t_i|
 //
-// Temporal query sources are incremental timeline walks (TemporalExpansion,
-// traj/time_index.h); they settle samples in nondecreasing |Δt|, so the
-// first settled sample of a trajectory gives its exact temporal distance
-// and the walk radius lower-bounds everything unseen — identical structure
-// to the spatial domain, so the combined search interleaves all
-// m_s + m_t query sources under one scheduling policy and one global
-// upper bound.
+// The expansion search itself is UotsSearcher::Search(TemporalUotsQuery)
+// (core/search.h): temporal query sources are incremental timeline walks
+// (TemporalExpansion, traj/time_index.h) that settle samples in
+// nondecreasing |dt| — the same structure as the network expansions — so
+// all m_s + m_t sources run in the one search loop under one scheduling
+// policy and one global upper bound.
 
 #ifndef UOTS_CORE_TEMPORAL_H_
 #define UOTS_CORE_TEMPORAL_H_
 
-#include <memory>
 #include <vector>
 
 #include "core/algorithm.h"
-#include "net/expansion.h"
-#include "traj/time_index.h"
-#include "util/versioned.h"
 
 namespace uots {
 
@@ -62,43 +57,10 @@ struct TemporalSearchResult {
 /// kMaxQueryLocations sources in total.
 Status ValidateTemporalQuery(const TemporalUotsQuery& q, size_t num_vertices);
 
-/// Exact brute-force evaluation (ground truth and baseline).
+/// Exact brute-force evaluation over base + live delta (ground truth and
+/// baseline).
 Result<TemporalSearchResult> BruteForceTemporalSearch(
     const TrajectoryDatabase& db, const TemporalUotsQuery& query);
-
-/// \brief Three-domain expansion searcher (stateful scratch; per thread).
-class TemporalUotsSearcher {
- public:
-  explicit TemporalUotsSearcher(const TrajectoryDatabase& db,
-                                const UotsSearchOptions& opts = {});
-
-  /// Exact top-k via interleaved spatial + temporal expansions with
-  /// upper-bound pruning.
-  Result<TemporalSearchResult> Search(const TemporalUotsQuery& query);
-
- private:
-  struct TrajState {
-    TrajId id = kInvalidTraj;
-    uint64_t mask = 0;
-    int known = 0;
-    double sum_spatial = 0.0;   ///< sum of spatial decays over scanned sources
-    double sum_temporal = 0.0;  ///< sum of temporal decays over scanned sources
-    double text = 0.0;
-  };
-
-  const TrajectoryDatabase* db_;
-  UotsSearchOptions opts_;
-  std::vector<std::unique_ptr<NetworkExpansion>> spatial_;
-  std::vector<std::unique_ptr<TemporalExpansion>> temporal_;
-  VersionedArray<int32_t> state_slot_;
-  VersionedArray<double> text_of_;
-  std::vector<TrajState> states_;
-  std::vector<int32_t> partial_;
-  std::vector<ScoredDoc> text_docs_;
-  /// Counter scratch for the shared keyword index (one per engine — the
-  /// index itself must stay read-only under concurrent queries).
-  TextScoringScratch text_scratch_;
-};
 
 }  // namespace uots
 

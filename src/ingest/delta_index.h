@@ -79,10 +79,8 @@ class DeltaIndex {
                        int64_t* posting_entries = nullptr) const;
 
   /// Sorted (time_s, global id) timeline of delta samples — mirrors
-  /// TimeIndex's invariant. No merged engine consumes it today (the
-  /// temporal extension in core/temporal.h is base-only; see DESIGN.md
-  /// §11), but keeping it sealed per generation means compaction and the
-  /// invariant tests can treat base and delta uniformly.
+  /// TimeIndex's invariant, so a TemporalExpansion can walk it merged with
+  /// the base timeline (three-domain queries, core/search.h).
   std::span<const TimeIndex::Entry> timeline() const { return timeline_; }
 
   /// Approximate heap bytes held by this index.

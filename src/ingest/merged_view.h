@@ -91,6 +91,13 @@ class MergedView {
     return p;
   }
 
+  /// Sorted (time_s, global id) timeline of the delta's samples (empty
+  /// without a delta); timeline walks merge it with the base TimeIndex.
+  std::span<const TimeIndex::Entry> DeltaTimeline() const {
+    if (!delta_) return {};
+    return delta_->timeline();
+  }
+
   /// \brief Scores every base and delta trajectory sharing >= 1 term with
   /// `query` (unsorted, like InvertedKeywordIndex::ScoreCandidates).
   /// `scratch` is the caller-owned counter scratch for the base index —

@@ -404,9 +404,6 @@ constexpr std::pair<const char*, int64_t QueryStats::*> kStatsFields[] = {
     {"posting_entries", &QueryStats::posting_entries},
     {"schedule_steps", &QueryStats::schedule_steps},
     {"bound_rebuilds", &QueryStats::bound_rebuilds},
-    {"dcache_hits", &QueryStats::dcache_hits},
-    {"dcache_replayed", &QueryStats::dcache_replayed},
-    {"dcache_published", &QueryStats::dcache_published},
     {"oracle_lookups", &QueryStats::oracle_lookups},
     {"oracle_pruned_candidates", &QueryStats::oracle_pruned_candidates},
 };

@@ -14,7 +14,6 @@
 #include <utility>
 #include <vector>
 
-#include "cache/distance_field_cache.h"
 #include "storage/resolver.h"
 #include "storage/snapshot_writer.h"
 #include "util/metrics.h"
@@ -603,18 +602,13 @@ void UotsServer::FinishCompaction(CompactionOutcome outcome) {
   }
   // Swap order matters: re-point the server and service first (new
   // admissions pin the new base), then rebase the ingestor so survivors
-  // keep their global ids on top of the grown base, then orphan both
-  // cache tiers — the result cache because its salted keys should be
-  // reclaimed, the expansion cache because its prefixes now describe a
-  // retired mapping.
+  // keep their global ids on top of the grown base, then orphan the
+  // result cache, whose salted keys should be reclaimed.
   db_ = std::move(outcome.db);
   service_->SwapDatabase(db_);
   ingestor_.Rebase(db_.get(), outcome.sealed);
   if (service_->result_cache() != nullptr) {
     service_->result_cache()->InvalidateGeneration();
-  }
-  if (opts_.service.uots.distance_cache != nullptr) {
-    opts_.service.uots.distance_cache->InvalidateGeneration();
   }
   ++counters_.compactions;
   last_compaction_ms_ = outcome.build_ms;

@@ -31,10 +31,7 @@ std::string QueryStats::ToString() const {
      << " pushes=" << heap_pushes << " decreases=" << heap_decreases
      << " stale=" << heap_stale_pops << " candidates=" << candidates
      << " postings=" << posting_entries << " steps=" << schedule_steps
-     << " rebuilds=" << bound_rebuilds << " dcache_hits=" << dcache_hits
-     << " dcache_replayed=" << dcache_replayed
-     << " dcache_published=" << dcache_published
-     << " oracle_lookups=" << oracle_lookups
+     << " rebuilds=" << bound_rebuilds << " oracle_lookups=" << oracle_lookups
      << " oracle_pruned=" << oracle_pruned_candidates << " ms=" << elapsed_ms;
   os << " phases[";
   for (int i = 0; i < kNumQueryPhases; ++i) {
@@ -59,9 +56,6 @@ std::string QueryStats::ToJson() const {
      << ", \"posting_entries\": " << posting_entries
      << ", \"schedule_steps\": " << schedule_steps
      << ", \"bound_rebuilds\": " << bound_rebuilds
-     << ", \"dcache_hits\": " << dcache_hits
-     << ", \"dcache_replayed\": " << dcache_replayed
-     << ", \"dcache_published\": " << dcache_published
      << ", \"oracle_lookups\": " << oracle_lookups
      << ", \"oracle_pruned_candidates\": " << oracle_pruned_candidates
      << ", \"elapsed_ms\": " << elapsed_ms << ", \"phase_ms\": {";

@@ -80,13 +80,6 @@ struct QueryStats {
   /// Full recomputations of the cached global upper bound / label sums
   /// (the incremental bookkeeping's fallback path).
   int64_t bound_rebuilds = 0;
-  /// Query sources whose expansion adopted a cached distance-field prefix
-  /// (cross-query cache; see cache/distance_field_cache.h).
-  int64_t dcache_hits = 0;
-  /// Settle events served by replaying cached prefixes instead of heap work.
-  int64_t dcache_replayed = 0;
-  /// Prefixes this query published (new or extended) back into the cache.
-  int64_t dcache_published = 0;
   /// Distance-oracle kernel invocations (pairwise or one-to-many searches;
   /// see oracle/querier.h). 0 when no oracle is attached or in use.
   int64_t oracle_lookups = 0;
@@ -125,9 +118,6 @@ struct QueryStats {
     posting_entries += o.posting_entries;
     schedule_steps += o.schedule_steps;
     bound_rebuilds += o.bound_rebuilds;
-    dcache_hits += o.dcache_hits;
-    dcache_replayed += o.dcache_replayed;
-    dcache_published += o.dcache_published;
     oracle_lookups += o.oracle_lookups;
     oracle_pruned_candidates += o.oracle_pruned_candidates;
     for (int i = 0; i < kNumQueryPhases; ++i) phase_ns[i] += o.phase_ns[i];

@@ -1,7 +1,6 @@
 // Cross-query caching: result-cache key canonicalization, the sharded LRU
-// result cache, the tier-2 distance-field cache + replaying cursor (with
-// the bit-identity guarantee that justifies it), and the service-side
-// integration (engine-pool cap, concurrent hammer).
+// result cache, and the service-side integration (engine-pool cap,
+// concurrent hammer).
 
 #include <gtest/gtest.h>
 
@@ -13,13 +12,10 @@
 #include <thread>
 #include <vector>
 
-#include "cache/distance_field_cache.h"
-#include "cache/expansion_cursor.h"
 #include "cache/query_key.h"
 #include "cache/result_cache.h"
 #include "core/batch.h"
 #include "core/workload.h"
-#include "net/expansion.h"
 #include "net/generators.h"
 #include "server/service.h"
 #include "text/zipf.h"
@@ -111,18 +107,13 @@ TEST(QueryKey, SensitiveToEveryAnswerAffectingKnob) {
   // Different dataset builds must never share answers.
   EXPECT_NE(key, EncodeResultCacheKey(base, AlgorithmKind::kUots, opts, 2));
 
-  // Search knobs that can steer abort/tie behaviour are part of the key...
+  // Search knobs that can steer abort/tie behaviour are part of the key.
   UotsSearchOptions sopts;
   sopts.scheduling = SchedulingPolicy::kRoundRobin;
   EXPECT_NE(key, EncodeResultCacheKey(base, AlgorithmKind::kUots, sopts, 1));
   sopts = {};
   sopts.batch_size = 128;
   EXPECT_NE(key, EncodeResultCacheKey(base, AlgorithmKind::kUots, sopts, 1));
-
-  // ...but the tier-2 cache is NOT: it never changes an output bit.
-  sopts = {};
-  sopts.distance_cache = std::make_shared<DistanceFieldCache>();
-  EXPECT_EQ(key, EncodeResultCacheKey(base, AlgorithmKind::kUots, sopts, 1));
 }
 
 TEST(QueryKey, HashIsStableAndSpreads) {
@@ -204,295 +195,6 @@ TEST(ResultCacheTest, ClearDropsEntriesKeepsEventCounters) {
   EXPECT_EQ(s.misses, 1);
 }
 
-// ----------------------------------------------------- distance_field_cache
-
-std::shared_ptr<ExpansionPrefix> MakePrefix(VertexId source, size_t n,
-                                            bool complete = false) {
-  auto p = std::make_shared<ExpansionPrefix>();
-  p->source = source;
-  for (size_t i = 0; i < n; ++i) {
-    p->vertices.push_back(static_cast<VertexId>(i));
-    p->dists.push_back(static_cast<double>(i));
-  }
-  p->complete = complete;
-  return p;
-}
-
-TEST(DistanceFieldCacheTest, MissPublishHit) {
-  DistanceFieldCache cache;
-  uint64_t v = 0;
-  EXPECT_EQ(cache.Acquire(7, &v), nullptr);
-  EXPECT_TRUE(cache.Publish(MakePrefix(7, 10), v));
-  auto p = cache.Acquire(7, &v);
-  ASSERT_NE(p, nullptr);
-  EXPECT_EQ(p->size(), 10u);
-  const DistanceFieldCache::Stats s = cache.stats();
-  EXPECT_EQ(s.hits, 1);
-  EXPECT_EQ(s.misses, 1);
-  EXPECT_EQ(s.publishes, 1);
-}
-
-TEST(DistanceFieldCacheTest, OnlyImprovementsReplace) {
-  DistanceFieldCache cache;
-  uint64_t v = 0;
-  cache.Acquire(7, &v);
-  EXPECT_TRUE(cache.Publish(MakePrefix(7, 10), v));
-  // Shorter: rejected. Equal-length incomplete: rejected.
-  EXPECT_FALSE(cache.Publish(MakePrefix(7, 5), v));
-  EXPECT_FALSE(cache.Publish(MakePrefix(7, 10), v));
-  // Equal length but newly complete: accepted.
-  EXPECT_TRUE(cache.Publish(MakePrefix(7, 10, /*complete=*/true), v));
-  // Longer: accepted.
-  EXPECT_TRUE(cache.Publish(MakePrefix(7, 20, true), v));
-  auto p = cache.Acquire(7, &v);
-  ASSERT_NE(p, nullptr);
-  EXPECT_EQ(p->size(), 20u);
-  EXPECT_TRUE(p->complete);
-  EXPECT_EQ(cache.stats().rejected, 2);
-}
-
-TEST(DistanceFieldCacheTest, InvalidateOrphansOutstandingPublishes) {
-  DistanceFieldCache cache;
-  uint64_t v = 0;
-  cache.Acquire(7, &v);
-  cache.Invalidate();
-  EXPECT_FALSE(cache.Publish(MakePrefix(7, 10), v));  // stale version
-  uint64_t v2 = 0;
-  EXPECT_EQ(cache.Acquire(7, &v2), nullptr);  // everything dropped
-  EXPECT_NE(v2, v);
-  EXPECT_TRUE(cache.Publish(MakePrefix(7, 10), v2));
-  EXPECT_EQ(cache.stats().invalidations, 1);
-}
-
-TEST(DistanceFieldCacheTest, ByteBudgetEvictsLru) {
-  DistanceFieldCache::Options opts;
-  // Room for roughly two 64-event prefixes (12 bytes/event + overhead).
-  opts.max_bytes = 2200;
-  DistanceFieldCache cache(opts);
-  uint64_t v = 0;
-  for (VertexId s = 0; s < 6; ++s) {
-    cache.Acquire(s, &v);
-    EXPECT_TRUE(cache.Publish(MakePrefix(s, 64), v));
-  }
-  const DistanceFieldCache::Stats st = cache.stats();
-  EXPECT_GT(st.evictions, 0);
-  EXPECT_LT(st.entries, 6);
-  EXPECT_LE(st.bytes, 2200);
-  // A prefix that alone busts the budget is refused outright.
-  cache.Acquire(100, &v);
-  EXPECT_FALSE(cache.Publish(MakePrefix(100, 4096), v));
-}
-
-// --------------------------------------------------------- expansion_cursor
-
-struct Event {
-  VertexId v;
-  double d;
-};
-
-std::vector<Event> DrainCursor(ExpansionCursor& cur) {
-  std::vector<Event> out;
-  VertexId v;
-  double d;
-  while (cur.Step(&v, &d)) out.push_back({v, d});
-  return out;
-}
-
-std::vector<Event> FreshEvents(const RoadNetwork& g, VertexId source) {
-  NetworkExpansion ex(g);
-  ex.Reset(source);
-  std::vector<Event> out;
-  VertexId v;
-  double d;
-  while (ex.Step(&v, &d)) out.push_back({v, d});
-  return out;
-}
-
-void ExpectSameEvents(const std::vector<Event>& a,
-                      const std::vector<Event>& b) {
-  ASSERT_EQ(a.size(), b.size());
-  for (size_t i = 0; i < a.size(); ++i) {
-    EXPECT_EQ(a[i].v, b[i].v) << "event " << i;
-    EXPECT_EQ(a[i].d, b[i].d) << "event " << i;  // exact, not approximate
-  }
-}
-
-TEST(ExpansionCursorTest, PassThroughMatchesNetworkExpansion) {
-  const RoadNetwork& g = TestDb().network();
-  ExpansionCursor cur(g);
-  cur.Begin(12, nullptr);
-  EXPECT_FALSE(cur.from_cache());
-  ExpectSameEvents(DrainCursor(cur), FreshEvents(g, 12));
-  EXPECT_TRUE(cur.exhausted());
-  EXPECT_EQ(cur.heap_pops(), cur.live_settled_count());
-}
-
-TEST(ExpansionCursorTest, ReplayIsBitIdentical) {
-  const RoadNetwork& g = TestDb().network();
-  DistanceFieldCache cache;
-
-  ExpansionCursor first(g);
-  first.Begin(12, &cache);
-  const std::vector<Event> fresh = DrainCursor(first);
-  EXPECT_TRUE(first.Publish());
-
-  ExpansionCursor second(g);
-  second.Begin(12, &cache);
-  EXPECT_TRUE(second.from_cache());
-  ExpectSameEvents(DrainCursor(second), fresh);
-  // A complete prefix replays the whole component with zero heap work.
-  EXPECT_EQ(second.heap_pops(), 0);
-  EXPECT_EQ(second.replayed_count(), static_cast<int64_t>(fresh.size()));
-  EXPECT_EQ(second.settled_count(), static_cast<int64_t>(fresh.size()));
-  // Nothing new to offer back.
-  EXPECT_FALSE(second.Publish());
-}
-
-TEST(ExpansionCursorTest, FastForwardPastTruncatedPrefix) {
-  const RoadNetwork& g = TestDb().network();
-  DistanceFieldCache::Options opts;
-  opts.max_events_per_source = 5;  // force truncation + fast-forward
-  DistanceFieldCache cache(opts);
-
-  ExpansionCursor first(g);
-  first.Begin(12, &cache);
-  const std::vector<Event> fresh = DrainCursor(first);
-  ASSERT_GT(fresh.size(), 5u);
-  EXPECT_TRUE(first.Publish());  // truncated to 5 events, incomplete
-
-  ExpansionCursor second(g);
-  second.Begin(12, &cache);
-  EXPECT_TRUE(second.from_cache());
-  ExpectSameEvents(DrainCursor(second), fresh);
-  EXPECT_EQ(second.replayed_count(), 5);
-  // Fast-forward went live and re-settled everything (prefix + remainder).
-  EXPECT_EQ(second.live_settled_count(), static_cast<int64_t>(fresh.size()));
-  EXPECT_EQ(second.settled_count(), static_cast<int64_t>(fresh.size()));
-}
-
-TEST(ExpansionCursorTest, PartialRunPublishesAndLaterRunsDeepen) {
-  const RoadNetwork& g = TestDb().network();
-  DistanceFieldCache cache;
-
-  // Run A settles only 8 events, then publishes an 8-event prefix.
-  ExpansionCursor a(g);
-  a.Begin(12, &cache);
-  VertexId v;
-  double d;
-  for (int i = 0; i < 8; ++i) ASSERT_TRUE(a.Step(&v, &d));
-  EXPECT_TRUE(a.Publish());
-
-  // Run B replays 8, outruns the prefix (fast-forward), settles 20, and
-  // publishes the deeper prefix.
-  ExpansionCursor b(g);
-  b.Begin(12, &cache);
-  EXPECT_TRUE(b.from_cache());
-  for (int i = 0; i < 20; ++i) ASSERT_TRUE(b.Step(&v, &d));
-  EXPECT_EQ(b.replayed_count(), 8);
-  EXPECT_TRUE(b.Publish());
-
-  uint64_t ver = 0;
-  auto p = cache.Acquire(12, &ver);
-  ASSERT_NE(p, nullptr);
-  EXPECT_EQ(p->size(), 20u);
-
-  // Run C stays inside the stored prefix: nothing new to publish.
-  ExpansionCursor c(g);
-  c.Begin(12, &cache);
-  for (int i = 0; i < 10; ++i) ASSERT_TRUE(c.Step(&v, &d));
-  EXPECT_FALSE(c.Publish());
-}
-
-TEST(ExpansionCursorTest, RadiusTracksReplayedDistance) {
-  const RoadNetwork& g = TestDb().network();
-  DistanceFieldCache cache;
-  ExpansionCursor first(g);
-  first.Begin(12, &cache);
-  const std::vector<Event> fresh = DrainCursor(first);
-  first.Publish();
-
-  ExpansionCursor second(g);
-  second.Begin(12, &cache);
-  VertexId v;
-  double d;
-  for (size_t i = 0; i < fresh.size(); ++i) {
-    ASSERT_TRUE(second.Step(&v, &d));
-    EXPECT_EQ(second.radius(), fresh[i].d) << "event " << i;
-  }
-}
-
-// ------------------------------------------- tier-2 end-to-end bit identity
-
-TEST(DistanceFieldCacheIntegration, RunQueryBitIdenticalAcrossAllEngines) {
-  WorkloadOptions wopts;
-  wopts.num_queries = 10;
-  wopts.num_locations = 3;
-  wopts.k = 5;
-  auto queries = MakeWorkload(TestDb(), wopts);
-  ASSERT_TRUE(queries.ok());
-
-  const AlgorithmKind kinds[] = {
-      AlgorithmKind::kBruteForce,     AlgorithmKind::kTextFirst,
-      AlgorithmKind::kUots,           AlgorithmKind::kUotsNoHeuristic,
-      AlgorithmKind::kUotsSequential, AlgorithmKind::kEuclidean,
-  };
-  for (AlgorithmKind kind : kinds) {
-    auto dcache = std::make_shared<DistanceFieldCache>();
-    QueryOptions plain;
-    plain.algorithm = kind;
-    QueryOptions cached = plain;
-    cached.uots.distance_cache = dcache;
-
-    for (const UotsQuery& q : *queries) {
-      auto r0 = RunQuery(TestDb(), q, plain);
-      auto cold = RunQuery(TestDb(), q, cached);
-      auto warm = RunQuery(TestDb(), q, cached);
-      ASSERT_TRUE(r0.ok() && cold.ok() && warm.ok()) << ToString(kind);
-      for (const auto* rc : {&cold.value(), &warm.value()}) {
-        ASSERT_EQ(rc->items.size(), r0->items.size()) << ToString(kind);
-        for (size_t i = 0; i < r0->items.size(); ++i) {
-          EXPECT_EQ(rc->items[i].id, r0->items[i].id) << ToString(kind);
-          // Bit-for-bit: exact double equality, no tolerance.
-          EXPECT_EQ(rc->items[i].score, r0->items[i].score) << ToString(kind);
-          EXPECT_EQ(rc->items[i].spatial_sim, r0->items[i].spatial_sim);
-          EXPECT_EQ(rc->items[i].textual_sim, r0->items[i].textual_sim);
-        }
-      }
-    }
-    // The expansion-based engines must actually exercise the cache.
-    if (kind == AlgorithmKind::kUots ||
-        kind == AlgorithmKind::kUotsNoHeuristic ||
-        kind == AlgorithmKind::kUotsSequential) {
-      const DistanceFieldCache::Stats s = dcache->stats();
-      EXPECT_GT(s.publishes, 0) << ToString(kind);
-      EXPECT_GT(s.hits, 0) << ToString(kind);
-    }
-  }
-}
-
-TEST(DistanceFieldCacheIntegration, WarmRunsReportCacheWork) {
-  WorkloadOptions wopts;
-  wopts.num_queries = 6;
-  wopts.num_locations = 3;
-  auto queries = MakeWorkload(TestDb(), wopts);
-  ASSERT_TRUE(queries.ok());
-  QueryOptions opts;
-  opts.uots.distance_cache = std::make_shared<DistanceFieldCache>();
-  int64_t hits = 0, replayed = 0, published = 0;
-  for (int round = 0; round < 2; ++round) {
-    for (const UotsQuery& q : *queries) {
-      auto r = RunQuery(TestDb(), q, opts);
-      ASSERT_TRUE(r.ok());
-      hits += r->stats.dcache_hits;
-      replayed += r->stats.dcache_replayed;
-      published += r->stats.dcache_published;
-    }
-  }
-  EXPECT_GT(hits, 0);
-  EXPECT_GT(replayed, 0);
-  EXPECT_GT(published, 0);
-}
-
 // ------------------------------------------------------ service integration
 
 TEST(ServiceCache, PooledEnginesCappedPerKind) {
@@ -551,7 +253,6 @@ TEST(ServiceCache, ConcurrentZipfHammerIsBitIdentical) {
   sopts.max_inflight = 512;
   sopts.cache_max_entries = 64;
   sopts.cache_shards = 4;
-  sopts.uots.distance_cache = std::make_shared<DistanceFieldCache>();
   UotsService service(TestDb(), sopts);
 
   WorkloadOptions wopts;

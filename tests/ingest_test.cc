@@ -18,6 +18,8 @@
 #include <vector>
 
 #include "core/batch.h"
+#include "core/search.h"
+#include "core/temporal.h"
 #include "core/workload.h"
 #include "ingest/ingestor.h"
 #include "net/generators.h"
@@ -150,6 +152,39 @@ TEST(IngestTest, DeltaMatchesColdRebuildAcrossAllSixEngines) {
       ExpectIdentical(*via_delta, *via_rebuild, ToString(kind), i);
     }
   }
+
+  // The three-domain search walks the base timeline merged with the
+  // delta's, so it too must equal the rebuild — and the brute force over
+  // base + delta — bit for bit.
+  UotsSearcher temporal_via_delta(*base);
+  UotsSearcher temporal_via_rebuild(*rebuilt);
+  int delta_hits = 0;
+  for (size_t i = 0; i < queries.size(); ++i) {
+    TemporalUotsQuery tq;
+    tq.locations = queries[i].locations;
+    tq.times = {static_cast<int32_t>((6 + 2 * i) % 24 * 3600),
+                static_cast<int32_t>((9 + 2 * i) % 24 * 3600 + 900)};
+    tq.keywords = queries[i].keywords;
+    tq.k = queries[i].k;
+    auto a = temporal_via_delta.Search(tq);
+    auto b = temporal_via_rebuild.Search(tq);
+    auto bf = BruteForceTemporalSearch(*base, tq);
+    ASSERT_TRUE(a.ok() && b.ok() && bf.ok()) << "query " << i;
+    for (const auto* other : {&b.value(), &bf.value()}) {
+      ASSERT_EQ(a->items.size(), other->items.size()) << "query " << i;
+      for (size_t j = 0; j < a->items.size(); ++j) {
+        const auto& x = a->items[j];
+        const auto& y = other->items[j];
+        EXPECT_EQ(x.id, y.id) << "UOTS-3D query " << i;
+        EXPECT_EQ(x.score, y.score) << "UOTS-3D query " << i;
+        EXPECT_EQ(x.spatial_sim, y.spatial_sim) << "UOTS-3D query " << i;
+        EXPECT_EQ(x.temporal_sim, y.temporal_sim) << "UOTS-3D query " << i;
+        EXPECT_EQ(x.textual_sim, y.textual_sim) << "UOTS-3D query " << i;
+      }
+    }
+    for (const auto& item : a->items) delta_hits += item.id >= 120 ? 1 : 0;
+  }
+  EXPECT_GT(delta_hits, 0);  // ingested trips do reach three-domain answers
 }
 
 TEST(IngestTest, AssignsContiguousIdsAboveBaseAcrossBatches) {

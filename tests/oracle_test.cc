@@ -271,7 +271,10 @@ TEST(OracleSearch, BitIdenticalToExpansionBaselineAndBruteForce) {
   auto on = CreateAlgorithm(*db, AlgorithmKind::kUots, with);
   auto off = CreateAlgorithm(*db, AlgorithmKind::kUots, without);
   auto bf = CreateAlgorithm(*db, AlgorithmKind::kBruteForce);
+  UotsSearcher on3(*db, with);
+  UotsSearcher off3(*db, without);
 
+  int32_t hour = 5;
   for (const UotsQuery& q : *queries) {
     auto r_on = on->Search(q);
     auto r_off = off->Search(q);
@@ -293,6 +296,33 @@ TEST(OracleSearch, BitIdenticalToExpansionBaselineAndBruteForce) {
     // The oracle path actually ran and did less expansion work.
     EXPECT_GT(r_on->stats.oracle_lookups, 0);
     EXPECT_EQ(r_off->stats.oracle_lookups, 0);
+
+    // The same query with two preferred times: the three-domain search
+    // shares the loop, so oracle on/off and the brute force agree too.
+    TemporalUotsQuery tq;
+    tq.locations = q.locations;
+    tq.times = {hour * 3600, (hour + 7) * 3600 + 1200};
+    hour += 1;
+    tq.keywords = q.keywords;
+    tq.k = q.k;
+    auto t_on = on3.Search(tq);
+    auto t_off = off3.Search(tq);
+    auto t_bf = BruteForceTemporalSearch(*db, tq);
+    ASSERT_TRUE(t_on.ok() && t_off.ok() && t_bf.ok());
+    for (const auto* other : {&t_off.value(), &t_bf.value()}) {
+      ASSERT_EQ(t_on->items.size(), other->items.size());
+      for (size_t i = 0; i < t_on->items.size(); ++i) {
+        const auto& x = t_on->items[i];
+        const auto& y = other->items[i];
+        EXPECT_EQ(x.id, y.id) << "3D rank " << i;
+        EXPECT_EQ(x.score, y.score) << "3D rank " << i;
+        EXPECT_EQ(x.spatial_sim, y.spatial_sim) << "3D rank " << i;
+        EXPECT_EQ(x.temporal_sim, y.temporal_sim) << "3D rank " << i;
+        EXPECT_EQ(x.textual_sim, y.textual_sim) << "3D rank " << i;
+      }
+    }
+    EXPECT_GT(t_on->stats.oracle_lookups, 0);
+    EXPECT_EQ(t_off->stats.oracle_lookups, 0);
   }
 }
 

@@ -20,7 +20,6 @@
 #include <thread>
 #include <vector>
 
-#include "cache/distance_field_cache.h"
 #include "core/batch.h"
 #include "core/workload.h"
 #include "net/generators.h"
@@ -468,7 +467,6 @@ TEST(ServerIntegrationTest, CachedRepeatIsBitIdenticalAndFlagged) {
   auto db = MakeTestDb();
   ServerOptions opts;
   opts.service.cache_max_entries = 64;
-  opts.service.uots.distance_cache = std::make_shared<DistanceFieldCache>();
   ServerFixture fx(*db, opts);
   const auto queries = MakeQueries(*db, 4);
 

@@ -4,9 +4,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <map>
 
+#include "core/search.h"
 #include "net/generators.h"
 #include "traj/generator.h"
 #include "util/rng.h"
@@ -97,6 +99,39 @@ TEST(TemporalExpansion, FirstHitPerTrajectoryIsExactMinimum) {
   }
 }
 
+TEST(TemporalExpansion, MergedWalkMatchesRebuiltTimeline) {
+  // Base trips 0..1, "delta" trip 2 (ids above the base): walking the base
+  // index merged with the delta run settles exactly the sequence of an
+  // index rebuilt over all three — equal times included.
+  Trajectory a, b, c;
+  a.samples = {{0, 100}, {1, 400}};
+  b.samples = {{2, 250}, {3, 400}};
+  c.samples = {{4, 90}, {5, 250}, {6, 700}};
+  TrajectoryStore base, all;
+  for (const Trajectory* t : {&a, &b}) ASSERT_TRUE(base.Add(*t).ok());
+  for (const Trajectory* t : {&a, &b, &c}) ASSERT_TRUE(all.Add(*t).ok());
+  const TimeIndex base_index(base);
+  const TimeIndex all_index(all);
+  const std::vector<TimeIndex::Entry> delta = {{90, 2}, {250, 2}, {700, 2}};
+  for (int32_t origin : {0, 250, 300, 400, 1000}) {
+    TemporalExpansion merged(base_index);
+    TemporalExpansion rebuilt(all_index);
+    merged.Reset(origin, delta);
+    rebuilt.Reset(origin);
+    TrajId tm, tr;
+    double dm, dr;
+    for (;;) {
+      EXPECT_EQ(merged.PeekOffset(), rebuilt.PeekOffset());
+      const bool more = rebuilt.Step(&tr, &dr);
+      ASSERT_EQ(merged.Step(&tm, &dm), more) << "origin " << origin;
+      if (!more) break;
+      EXPECT_EQ(tm, tr) << "origin " << origin;
+      EXPECT_EQ(dm, dr) << "origin " << origin;
+    }
+    EXPECT_EQ(merged.settled_count(), 7);
+  }
+}
+
 TEST(TemporalExpansion, EmptyStore) {
   TrajectoryStore store;
   const TimeIndex index(store);
@@ -131,6 +166,21 @@ TEST(ValidateTemporalQuery, Rules) {
   EXPECT_FALSE(ValidateTemporalQuery(q, 100).ok());  // > 64 sources
 }
 
+/// Bit-identity, not tolerance: same ids, same exact doubles.
+void ExpectIdentical(const TemporalSearchResult& expected,
+                     const TemporalSearchResult& got) {
+  ASSERT_EQ(expected.items.size(), got.items.size());
+  for (size_t i = 0; i < expected.items.size(); ++i) {
+    const auto& e = expected.items[i];
+    const auto& g = got.items[i];
+    EXPECT_EQ(e.id, g.id) << "rank " << i;
+    EXPECT_EQ(e.score, g.score) << "rank " << i;
+    EXPECT_EQ(e.spatial_sim, g.spatial_sim) << "rank " << i;
+    EXPECT_EQ(e.temporal_sim, g.temporal_sim) << "rank " << i;
+    EXPECT_EQ(e.textual_sim, g.textual_sim) << "rank " << i;
+  }
+}
+
 using Weights = std::tuple<double, double, double>;
 
 class TemporalEquivalenceTest : public ::testing::TestWithParam<Weights> {};
@@ -139,7 +189,7 @@ TEST_P(TemporalEquivalenceTest, SearchMatchesBruteForce) {
   const auto [ws, wt, wk] = GetParam();
   static auto* db = MakeDb(300, 74).release();
   Rng rng(75);
-  TemporalUotsSearcher searcher(*db);
+  UotsSearcher searcher(*db);
   for (int trial = 0; trial < 5; ++trial) {
     // Derive a query from a random seed trajectory (locations, times, and
     // keywords all perturbed from it) so strong matches exist.
@@ -166,16 +216,11 @@ TEST_P(TemporalEquivalenceTest, SearchMatchesBruteForce) {
     auto expected = BruteForceTemporalSearch(*db, q);
     auto got = searcher.Search(q);
     ASSERT_TRUE(expected.ok() && got.ok());
-    ASSERT_EQ(expected->items.size(), got->items.size());
-    for (size_t i = 0; i < expected->items.size(); ++i) {
-      EXPECT_NEAR(expected->items[i].score, got->items[i].score, 1e-9)
-          << "rank " << i;
-      // Decomposition consistency.
-      const auto& item = got->items[i];
-      EXPECT_NEAR(item.score,
-                  ws * item.spatial_sim + wt * item.temporal_sim +
-                      wk * item.textual_sim,
-                  1e-12);
+    ExpectIdentical(*expected, *got);
+    for (const auto& item : got->items) {
+      // Decomposition consistency, exactly as the score is evaluated.
+      EXPECT_EQ(item.score, ws * item.spatial_sim + wt * item.temporal_sim +
+                                wk * item.textual_sim);
     }
   }
 }
@@ -205,7 +250,7 @@ TEST(TemporalSearch, ReducesToTwoDomainWhenTemporalWeightZero) {
   q3.weight_temporal = 0.0;
   q3.weight_textual = 0.5;
   q3.k = 8;
-  TemporalUotsSearcher searcher3(*db);
+  UotsSearcher searcher3(*db);
   auto r3 = searcher3.Search(q3);
   ASSERT_TRUE(r3.ok());
 
@@ -219,8 +264,93 @@ TEST(TemporalSearch, ReducesToTwoDomainWhenTemporalWeightZero) {
   ASSERT_TRUE(r2.ok());
   ASSERT_EQ(r2->items.size(), r3->items.size());
   for (size_t i = 0; i < r2->items.size(); ++i) {
-    EXPECT_NEAR(r2->items[i].score, r3->items[i].score, 1e-9);
+    EXPECT_EQ(r2->items[i].id, r3->items[i].id) << "rank " << i;
+    EXPECT_EQ(r2->items[i].score, r3->items[i].score) << "rank " << i;
+    EXPECT_EQ(r2->items[i].spatial_sim, r3->items[i].spatial_sim);
+    EXPECT_EQ(r2->items[i].textual_sim, r3->items[i].textual_sim);
+    EXPECT_EQ(r3->items[i].temporal_sim, 0.0);
   }
+}
+
+TEST(TemporalSearch, DuplicateTripsTieAtTheKBoundaryByAscendingId) {
+  // Four copies of one trip at ids 3, 40, 41 and 90 score exactly alike;
+  // a query built from that trip puts them at the top, so k = 2 cuts the
+  // tied group. The query times lie just after the trip's, so the timeline
+  // walks reach the copies leftward, highest id first. The (score, id)
+  // top-k still keeps the two lowest ids.
+  GridNetworkOptions gopts;
+  gopts.rows = 18;
+  gopts.cols = 18;
+  gopts.seed = 78;
+  auto g = MakeGridNetwork(gopts);
+  ASSERT_TRUE(g.ok());
+  TripGeneratorOptions topts;
+  topts.num_trajectories = 120;
+  topts.vocabulary_size = 100;
+  topts.seed = 79;
+  auto data = GenerateTrips(*g, topts);
+  ASSERT_TRUE(data.ok());
+  const Trajectory dup = data->store.Materialize(7);
+  TrajectoryStore store;
+  std::vector<TrajId> copies;
+  for (TrajId id = 0; id < data->store.size(); ++id) {
+    if (id == 3 || id == 40 || id == 41 || id == 90) {
+      copies.push_back(static_cast<TrajId>(store.size()));
+      ASSERT_TRUE(store.Add(dup).ok());
+    }
+    if (id != 7) {
+      ASSERT_TRUE(store.Add(data->store.Materialize(id)).ok());
+    }
+  }
+  ASSERT_EQ(copies.size(), 4u);
+  TrajectoryDatabase db(std::move(*g), std::move(store),
+                        std::move(data->vocabulary));
+
+  TemporalUotsQuery q;
+  q.locations = {dup.samples.front().vertex, dup.samples.back().vertex};
+  q.times = {std::clamp(dup.samples.front().time_s + 120, 0,
+                        kSecondsPerDay - 1),
+             std::clamp(dup.samples.back().time_s + 60, 0,
+                        kSecondsPerDay - 1)};
+  q.keywords = dup.keywords;
+  q.k = 2;
+  for (const SchedulingPolicy policy :
+       {SchedulingPolicy::kHeuristic, SchedulingPolicy::kRoundRobin,
+        SchedulingPolicy::kSequential}) {
+    for (const int batch : {1, 64}) {
+      UotsSearchOptions opts;
+      opts.scheduling = policy;
+      opts.batch_size = batch;
+      UotsSearcher searcher(db, opts);
+      auto got = searcher.Search(q);
+      auto expected = BruteForceTemporalSearch(db, q);
+      ASSERT_TRUE(got.ok() && expected.ok());
+      ASSERT_EQ(got->items.size(), 2u);
+      EXPECT_EQ(got->items[0].id, copies[0]);
+      EXPECT_EQ(got->items[1].id, copies[1]);
+      EXPECT_EQ(got->items[0].score, got->items[1].score);
+      ExpectIdentical(*expected, *got);
+    }
+  }
+}
+
+TEST(TemporalSearch, ExpiredCancelTokenAbortsTheSearch) {
+  auto db = MakeDb(200, 80);
+  TemporalUotsQuery q;
+  q.locations = {5, 50};
+  q.times = {8 * 3600};
+  q.keywords = KeywordSet({1, 2});
+  q.k = 5;
+  UotsSearcher searcher(*db);
+  CancelToken token;
+  token.Cancel();
+  searcher.set_cancel(&token);
+  auto r = searcher.Search(q);
+  ASSERT_FALSE(r.ok());
+  EXPECT_EQ(r.status().code(), StatusCode::kDeadlineExceeded);
+  // The same engine answers normally once the token is cleared.
+  searcher.set_cancel(nullptr);
+  EXPECT_TRUE(searcher.Search(q).ok());
 }
 
 TEST(TemporalSearch, TemporalWeightChangesRanking) {
@@ -233,7 +363,7 @@ TEST(TemporalSearch, TemporalWeightChangesRanking) {
   q.weight_temporal = 1.0;
   q.weight_textual = 0.0;
   q.k = 5;
-  TemporalUotsSearcher searcher(*db);
+  UotsSearcher searcher(*db);
   q.times = {3 * 3600};
   auto night = searcher.Search(q);
   q.times = {15 * 3600};
